@@ -485,15 +485,15 @@ let bench_counting_ablation () =
           pp_ns fast_ns ])
     [ 2; 4; 8; 16 ]
 
-(* --- engine: packed forests on an exponentially ambiguous grammar --------------- *)
+(* --- engine: packed charts on an exponentially ambiguous grammar --------------- *)
 
 (* S → SS | a has Catalan(n-1) parses of a^n, so any engine that counts by
-   enumerating trees is doomed past n ≈ 14.  The packed forest shares
+   enumerating trees is doomed past n ≈ 14.  The packed chart shares
    subderivations across parses and counts in polynomial time. *)
 let bench_forest_count () =
   header
     "engine — exact ambiguity counting on S → SS | a over a^n \
-     (Catalan(n-1) parses): packed forest vs tree enumeration";
+     (Catalan(n-1) parses): packed chart vs tree enumeration";
   let ss = Gr.fix "S" (fun self -> Gr.alt2 (Gr.seq self self) (Gr.chr 'a')) in
   row
     [ cell "%4s" "n"; cell "%16s" "parses"; cell "%7s" "nodes";
@@ -504,9 +504,9 @@ let bench_forest_count () =
       let count = ref 0 and nodes = ref 0 in
       let forest_ns =
         time_ns (fun () ->
-            let f = G.Forest.build ss input in
-            count := G.Forest.count f;
-            nodes := G.Forest.nodes f)
+            let h = G.Chart.build ss input in
+            count := G.Chart.count h;
+            nodes := G.Chart.nodes h)
       in
       let enum_ns =
         if n <= 12 then Some (time_ns (fun () -> ignore (E.count ss input)))
@@ -529,7 +529,7 @@ let bench_forest_count () =
 (* --- weighted: lazy k-best vs full enumeration ----------------------------------- *)
 
 module Wt = Lambekd_weighted
-module Hg = Wt.Hypergraph
+module Chart = G.Chart
 
 let ss_cfg_weighted () =
   let cfg =
@@ -555,11 +555,13 @@ let bench_weighted_kbest () =
   List.iter
     (fun n ->
       let input = String.make n 'a' in
-      let h = ref (Hg.build g input) in
-      let build_ns = time_ns (fun () -> h := Hg.build g input) in
-      let parses = Hg.count !h in
+      let h = ref (Chart.build g input) in
+      let build_ns = time_ns (fun () -> h := Chart.build g input) in
+      let parses = Chart.count !h in
       let top = ref [] in
-      let kbest_ns = time_ns (fun () -> top := Hg.kbest ~weight ~k:5 !h) in
+      let kbest_ns =
+        time_ns (fun () -> top := Wt.Sweep.kbest ~weight ~k:5 !h)
+      in
       assert (List.length !top = min 5 parses);
       let enum_ns =
         if n <= 12 then Some (time_ns (fun () -> ignore (E.parses g input)))
@@ -582,7 +584,7 @@ let bench_weighted_kbest () =
 
 let bench_inside_outside () =
   header
-    "weighted — inside/outside over the parse hypergraph of S → SS | a \
+    "weighted — inside/outside over the packed parse chart of S → SS | a \
      (P = 0.4/0.6, log-space): one forward and one backward array sweep";
   let g, weight = ss_cfg_weighted () in
   row
@@ -591,28 +593,29 @@ let bench_inside_outside () =
   List.iter
     (fun n ->
       let input = String.make n 'a' in
-      let h = ref (Hg.build g input) in
-      let build_ns = time_ns (fun () -> h := Hg.build g input) in
+      let h = ref (Chart.build g input) in
+      let build_ns = time_ns (fun () -> h := Chart.build g input) in
       let ins = ref [||] in
       let inside_ns =
         time_ns (fun () ->
-            ins := Hg.inside (module Wt.Semiring.Inside) ~weight !h)
+            ins := Wt.Sweep.inside (module Wt.Semiring.Inside) ~weight !h)
       in
       let outside_ns =
         time_ns (fun () ->
             ignore
-              (Hg.outside (module Wt.Semiring.Inside) ~weight ~inside:!ins !h))
+              (Wt.Sweep.outside (module Wt.Semiring.Inside) ~weight
+                 ~inside:!ins !h))
       in
-      let log_mass = !ins.(Hg.root !h) in
+      let log_mass = !ins.(Chart.root !h) in
       json ~section:"inside_outside"
         [ ("n", Ev.Int n);
-          ("nodes", Ev.Int (Hg.nodes !h));
+          ("nodes", Ev.Int (Chart.nodes !h));
           ("build_ns", Ev.Float build_ns);
           ("inside_ns", Ev.Float inside_ns);
           ("outside_ns", Ev.Float outside_ns);
           ("log_mass", Ev.Float log_mass) ];
       row
-        [ cell "%4d" n; cell "%9d" (Hg.nodes !h); pp_ns build_ns;
+        [ cell "%4d" n; cell "%9d" (Chart.nodes !h); pp_ns build_ns;
           pp_ns inside_ns; pp_ns outside_ns; cell "%14.6f" log_mass ])
     [ 8; 16; 32; 64; 128 ]
 
@@ -813,7 +816,7 @@ let bench_incremental () =
 
 let bench_scratch_reuse () =
   header
-    "engine — allocation-lean hot path: reusable Earley scratch and forest \
+    "engine — allocation-lean hot path: reusable Earley scratch and chart \
      pool vs fresh per-request allocation (warm requests)";
   let comp = Earley.compile dyck_cfg in
   let input = String.concat "" (List.init 128 (fun _ -> "()")) in
@@ -853,10 +856,12 @@ let bench_scratch_reuse () =
       ignore (Earley.run_compiled ~scratch:sc comp input));
   let ss = Gr.fix "S" (fun self -> Gr.alt2 (Gr.seq self self) (Gr.chr 'a')) in
   let finput = String.make 12 'a' in
-  measure "forest cold" (fun () -> ignore (G.Forest.build ss finput));
-  let fp = G.Forest.pool () in
+  (* the packed chart's pool; the "forest" mode names pair these rows
+     with older baselines *)
+  measure "forest cold" (fun () -> ignore (G.Chart.build ss finput));
+  let pool = G.Chart.pool () in
   measure "forest warm" (fun () ->
-      ignore (G.Forest.build ~pool:fp ss finput))
+      ignore (G.Chart.build ~pool ss finput))
 
 (* --- E17: surface checker throughput ------------------------------------------------------ *)
 

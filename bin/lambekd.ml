@@ -235,7 +235,7 @@ let reify_cmd =
 
 (* --- forest ------------------------------------------------------------------ *)
 
-(* Count/inspect parses on the shared packed parse forest: exact counts and
+(* Count/inspect parses on the packed parse chart: exact counts and
    first parses on grammars whose tree sets are astronomically large. *)
 let forest_cmd =
   let run common gname max_trees inputs =
@@ -271,23 +271,23 @@ let forest_cmd =
     | Ok g ->
       List.iter
         (fun w ->
-          let f = G.Forest.build g w in
-          let c = G.Forest.count f in
+          let h = G.Chart.build g w in
+          let c = G.Chart.count h in
           let verdict =
-            if not (G.Forest.accepts f) then "rejected"
-            else if G.Forest.is_saturated c then
+            if not (G.Chart.accepts h) then "rejected"
+            else if G.Chart.is_saturated c then
               Fmt.str "at least %d parses" c
             else if c = 1 then "unambiguous (1 parse)"
             else Fmt.str "ambiguous (%d parses)" c
           in
-          Fmt.pr "%S: %s [forest: %d nodes, %d packed]@." w verdict
-            (G.Forest.nodes f) (G.Forest.packed f);
+          Fmt.pr "%S: %s [chart: %d nodes, %d edges]@." w verdict
+            (G.Chart.nodes h) (G.Chart.edges h);
           if max_trees > 0 then
             Seq.iteri
               (fun i t -> print_tree (Fmt.str "parse %d" (i + 1)) t)
-              (G.Forest.enumerate ~max_trees f)
+              (G.Chart.enumerate ~max_trees h)
           else
-            Option.iter (print_tree "first parse") (G.Forest.first_parse f))
+            Option.iter (print_tree "first parse") (G.Chart.first_parse h))
         inputs;
       0
   in
@@ -304,14 +304,15 @@ let forest_cmd =
       & opt int 0
       & info [ "max-trees" ] ~docv:"N"
           ~doc:
-            "Unpack and print up to $(docv) parse trees from the forest \
+            "Unpack and print up to $(docv) parse trees from the chart \
              (0: print only the first parse).")
   in
   Cmd.v
     (Cmd.info "forest"
        ~doc:
-         "Count and inspect parses via the shared packed parse forest — \
-          exact ambiguity counts without materializing the tree set.")
+         "Count and inspect parses via the packed parse chart (the parse \
+          forest) — exact ambiguity counts without materializing the tree \
+          set.")
     Term.(const run $ common_term $ gname $ max_trees $ inputs_arg)
 
 (* --- ambiguity --------------------------------------------------------------- *)
@@ -800,7 +801,7 @@ let serve_cmd =
 
 let batch_cmd =
   let run common file domains queue_cap artifact_cap result_cap no_times
-      no_leo engine store =
+      engine store =
     with_telemetry common @@ fun () ->
     let engine_pin =
       match engine with
@@ -860,29 +861,6 @@ let batch_cmd =
         List.mapi
           (fun s line ->
             let req = Sv.Protocol.parse_line line in
-            let req =
-              (* force-pin the Leo optimization off for the whole batch:
-                 diffing against a default run checks the optimized and
-                 classical Earley engines end to end *)
-              if no_leo then
-                Result.map
-                  (function
-                    | Sv.Protocol.Request r ->
-                      Sv.Protocol.Request
-                        { r with Sv.Protocol.leo = Some false }
-                    | Sv.Protocol.Session
-                        ({ Sv.Protocol.sq_op =
-                             Sv.Protocol.S_open { cfg; gname; leo = _ };
-                           _ } as sq) ->
-                      Sv.Protocol.Session
-                        { sq with
-                          Sv.Protocol.sq_op =
-                            Sv.Protocol.S_open
-                              { cfg; gname; leo = Some false } }
-                    | l -> l)
-                  req
-              else req
-            in
             let req =
               (* force-pin an engine for the whole batch (as if each
                  request carried "engine":NAME); pin errors surface per
@@ -986,17 +964,6 @@ let batch_cmd =
       & info [ "no-times" ]
           ~doc:"Omit the $(i,ns) field, making output byte-reproducible.")
   in
-  let no_leo =
-    Arg.(
-      value & flag
-      & info [ "no-leo" ]
-          ~doc:
-            "Pin the Earley engine's Leo right-recursion optimization \
-             off for every request in the batch (as if each carried \
-             $(i,\"leo\":false)).  Verdicts are identical either way; \
-             diffing a $(b,--no-leo) run against a default run \
-             exercises both completer paths end to end.")
-  in
   let engine =
     Arg.(
       value
@@ -1017,7 +984,7 @@ let batch_cmd =
           pipeline and print one response line per request, in order.")
     Term.(
       const run $ common_term $ file $ domains $ queue_cap $ artifact_cap
-      $ result_cap $ no_times $ no_leo $ engine $ store_term)
+      $ result_cap $ no_times $ engine $ store_term)
 
 (* Corpus mode: replay every committed .ndjson case through the serial
    reference and diff (or rewrite) its .expected golden. *)

@@ -1,7 +1,3 @@
-module Probe = Lambekd_telemetry.Probe
-
-let c_scratch_reuse = Probe.counter "cyk.scratch_reuse"
-
 (* CNF: nonterminals are ints; rules are either N -> c or N -> N1 N2. *)
 type cnf = {
   start : int;
@@ -146,34 +142,12 @@ let of_cfg (cfg : Cfg.t) =
 
 (* --- recognition ---------------------------------------------------------- *)
 
-(* The chart is a flat byte arena, one cell per (i, len, nt): what used
-   to be [n] boxed matrices of [n * num_nts] bools per call is one
-   [Bytes.t] that a pooled scratch keeps across calls — a warm call
-   resets the prefix it needs with a single [Bytes.fill] and allocates
-   nothing. *)
-type scratch = { mutable bits : Bytes.t }
-
-let scratch () = { bits = Bytes.empty }
-
-let recognizes ?scratch:sc g w =
+(* The chart is a flat byte arena, one cell per (i, len, nt). *)
+let recognizes g w =
   let n = String.length w in
   if n = 0 then g.nullable_start
   else begin
-    let cells = n * n * g.num_nts in
-    let bits =
-      match sc with
-      | Some s ->
-        if Bytes.length s.bits >= cells then begin
-          Probe.bump c_scratch_reuse;
-          Bytes.fill s.bits 0 cells '\000';
-          s.bits
-        end
-        else begin
-          s.bits <- Bytes.make cells '\000';
-          s.bits
-        end
-      | None -> Bytes.make cells '\000'
-    in
+    let bits = Bytes.make (n * n * g.num_nts) '\000' in
     (* cell (i, len, nt): derivable over w[i .. i+len) *)
     let idx i len nt = (((i * n) + (len - 1)) * g.num_nts) + nt in
     let get i len nt = Bytes.unsafe_get bits (idx i len nt) <> '\000' in

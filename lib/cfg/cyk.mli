@@ -12,17 +12,7 @@ val of_cfg : Cfg.t -> cnf
 val accepts_empty : cnf -> bool
 val rule_count : cnf -> int
 
-type scratch
-(** A reusable flat chart arena.  One [Bytes.t] covering every
-    (position, length, nonterminal) cell, grown monotonically: a call
-    whose chart fits the arena resets it with one [Bytes.fill] and
-    allocates nothing (bumping the [cyk.scratch_reuse] probe).  Not
-    safe to share between concurrent calls — pool it per artifact like
-    [Earley.scratch]. *)
-
-val scratch : unit -> scratch
-
-val recognizes : ?scratch:scratch -> cnf -> string -> bool
+val recognizes : cnf -> string -> bool
 
 val recognizes_cfg : Cfg.t -> string -> bool
 (** [of_cfg] + [recognizes], one-shot. *)

@@ -500,7 +500,6 @@ let run ?indexed ?leo ?poll (cfg : Cfg.t) w =
 
 type session = {
   ss_comp : compiled;
-  ss_leo : bool;
   ss_sc : scratch;
   mutable ss_buf : string;
   mutable ss_valid : int;  (* last position with a final chart set; -1 none *)
@@ -508,10 +507,9 @@ type session = {
   mutable ss_reused : int;  (* sets kept by the most recent feed *)
 }
 
-let session ?(leo = true) ?scratch:sc comp =
+let session ?scratch:sc comp =
   let sc = match sc with Some sc -> sc | None -> scratch () in
   { ss_comp = comp;
-    ss_leo = leo;
     ss_sc = sc;
     ss_buf = "";
     ss_valid = -1;
@@ -553,13 +551,13 @@ let feed ?poll s w =
   if keep < 0 then begin
     prepare sc ~slots:(n + 1) ~nnts:comp.nnts;
     s.ss_items <- 0;
-    run_core ~indexed:true ~leo:s.ss_leo ?poll comp sc w ~start:`Fresh
+    run_core ~indexed:true ~leo:true ?poll comp sc w ~start:`Fresh
       ~chart_items ~peak
   end
   else begin
     let removed = invalidate_suffix sc ~slots:(n + 1) ~nnts:comp.nnts ~keep in
     s.ss_items <- s.ss_items - removed;
-    run_core ~indexed:true ~leo:s.ss_leo ?poll comp sc w ~start:(`Rescan keep)
+    run_core ~indexed:true ~leo:true ?poll comp sc w ~start:(`Rescan keep)
       ~chart_items ~peak
   end;
   s.ss_items <- s.ss_items + !chart_items;
@@ -616,56 +614,76 @@ type tree =
   | Node of string * int * tree list
 
 (* Derivation reconstruction over the completed-constituent facts, with an
-   active set to avoid looping through nullable/left-recursive cycles. *)
-let parse_tree ch =
+   active set to avoid looping through nullable/left-recursive cycles.
+   Spans nest, so a cut only hits ancestors over the same span: a [top]
+   key (its parent spans a strictly larger range) cannot depend on the
+   stack and is memoized per (nt, i, j).  Without the memo every split
+   the sequence walk rejects rebuilds the constituent it tried —
+   exponential in the nesting depth of left-nested sums. *)
+let parse_tree ?poll ch =
   expand ch;
-  let cfg = ch.comp.cfg and w = ch.input in
+  let c = ch.comp and w = ch.input in
   let n = String.length w in
-  let active = Hashtbl.create 16 in
-  let rec build_nt name i j =
-    if Hashtbl.mem active (name, i, j) then None
-    else begin
-      Hashtbl.add active (name, i, j) ();
-      let result =
-        List.find_map
-          (fun (pi, p) ->
-            if fact ch i j pi then
-              Option.map
-                (fun children -> Node (name, pi, children))
-                (build_seq p.Cfg.rhs i j)
-            else None)
-          (Cfg.productions_of cfg name)
-      in
-      Hashtbl.remove active (name, i, j);
-      result
-    end
-  and build_seq rhs i j =
-    match rhs with
-    | [] -> if i = j then Some [] else None
-    | Cfg.T c :: rest ->
-      if i < j && Char.equal w.[i] c then
-        Option.map (fun ts -> Leaf c :: ts) (build_seq rest (i + 1) j)
+  let active = IntTbl.create 16 and memo = IntTbl.create 64 in
+  let rec build_nt ~top nt i j =
+    let key = (((nt * (n + 1)) + i) * (n + 1)) + j in
+    match if top then IntTbl.find_opt memo key else None with
+    | Some result -> result
+    | None ->
+      if IntTbl.mem active key then None
+      else begin
+        (match poll with Some f -> f () | None -> ());
+        IntTbl.add active key ();
+        let result =
+          Array.find_map
+            (fun pi ->
+              if fact ch i j pi then
+                Option.map
+                  (fun children ->
+                    Node (c.cfg.Cfg.productions.(pi).Cfg.lhs, pi, children))
+                  (build_seq i j pi 0 i j)
+              else None)
+            c.preds.(nt)
+        in
+        IntTbl.remove active key;
+        if top then IntTbl.replace memo key result;
+        result
+      end
+  (* production [pi] from dot [d] over [i, j); [si, sj) is the span of
+     the constituent it derives *)
+  and build_seq si sj pi d i j =
+    let at = (pi * c.maxdot) + d in
+    if d = c.rhs_len.(pi) then if i = j then Some [] else None
+    else if c.term_at.(at) >= 0 then
+      if i < j && Char.code w.[i] = c.term_at.(at) then
+        Option.map
+          (fun ts -> Leaf w.[i] :: ts)
+          (build_seq si sj pi (d + 1) (i + 1) j)
       else None
-    | Cfg.N m :: rest ->
-      if rest = [] then
+    else
+      let m = c.await_at.(at) in
+      let sub k =
+        if m < 0 then None else build_nt ~top:(i <> si || k <> sj) m i k
+      in
+      if d + 1 = c.rhs_len.(pi) then
         (* the final symbol must span exactly to [j]; scanning earlier
            split points would rebuild (and discard) every shorter
            constituent — exponentially, on right-recursive grammars *)
-        Option.map (fun t -> [ t ]) (build_nt m i j)
+        Option.map (fun t -> [ t ]) (sub j)
       else
         let rec split k =
           if k > j then None
           else
-            match build_nt m i k with
+            match sub k with
             | Some t -> (
-              match build_seq rest k j with
+              match build_seq si sj pi (d + 1) k j with
               | Some ts -> Some (t :: ts)
               | None -> split (k + 1))
             | None -> split (k + 1)
         in
         split i
   in
-  build_nt cfg.Cfg.start 0 n
+  if c.start_nt < 0 then None else build_nt ~top:true c.start_nt 0 n
 
 (* One-shot conveniences; callers wanting more than one answer should
    [run] once and interrogate the chart. *)

@@ -78,11 +78,10 @@ type session
     chart returned by {!feed} aliases it and is invalidated by the next
     feed. *)
 
-val session : ?leo:bool -> ?scratch:scratch -> compiled -> session
+val session : ?scratch:scratch -> compiled -> session
 (** A fresh session (empty buffer, no chart yet).  The completer is
-    always the indexed one; [leo] (default [true]) as in
-    {!run_compiled}.  [scratch] supplies reused storage which the
-    session then owns until it is dropped. *)
+    always the indexed one, with Leo memos.  [scratch] supplies reused
+    storage which the session then owns until it is dropped. *)
 
 val feed : ?poll:(unit -> unit) -> session -> string -> chart
 (** Replace the session buffer with [w] and return its chart, reusing
@@ -115,11 +114,14 @@ type tree =
   | Node of string * int * tree list
       (** nonterminal, production index, children *)
 
-val parse_tree : chart -> tree option
+val parse_tree : ?poll:(unit -> unit) -> chart -> tree option
 (** One derivation tree (the first found when walking back through
     completed items); [None] if the word is not in the language.  On a
     Leo chart this first expands the memoized reduction chains so every
-    intermediate completion fact the shortcut skipped is available. *)
+    intermediate completion fact the shortcut skipped is available.
+    Subtrees are memoized per (nonterminal, span), so the walk is
+    polynomial in the input.  [poll] runs at every constituent visit
+    and may raise to abort (deadline cancellation). *)
 
 val recognizes : Cfg.t -> string -> bool
 (** [accepts (run cfg w)]. *)

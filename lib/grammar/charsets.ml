@@ -1,6 +1,6 @@
 (* Per-subgrammar nullability, first/last character sets and width bounds,
    plus annotated grammar terms that carry them — the split-pruning oracle
-   of the enumeration engines (Enum.accepts, Forest.build).
+   of the enumeration engines (Enum.accepts, Chart.build).
 
    The analysis is the classical nullable/FIRST computation of
    lib/cfg/first_follow.ml lifted from production CFGs to Grammar.t terms,

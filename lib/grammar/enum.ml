@@ -49,10 +49,10 @@ end
 
 module ITbl = Hashtbl.Make (IKey)
 
-(* --- enumeration: thin wrappers over the packed forest -------------------- *)
+(* --- enumeration: thin wrappers over the packed chart --------------------- *)
 
 let parses_span g s i j =
-  List.of_seq (Forest.enumerate (Forest.build_span g s i j))
+  List.of_seq (Chart.enumerate (Chart.build_span g s i j))
 
 let parses g s =
   Probe.with_span "enum.parses" ~fields:(len_field s) (fun () ->
@@ -62,9 +62,9 @@ let count g s = List.length (parses g s)
 
 let count_fast g s =
   Probe.with_span "enum.count_fast" ~fields:(len_field s) @@ fun () ->
-  Forest.count_string g s
+  Chart.count (Chart.build g s)
 
-let first_parse g s = Forest.first_parse (Forest.build g s)
+let first_parse g s = Chart.first_parse (Chart.build g s)
 
 (* --- terminal interning --------------------------------------------------- *)
 

@@ -1,7 +1,7 @@
 (** Parse enumeration and membership for the {!Grammar} model.
 
     Enumeration ({!parses}, {!count_fast}, {!first_parse}) is implemented
-    on the shared packed parse forest of {!Forest}: build once, then
+    on the packed parse chart of {!Chart}: build once, then
     count/unpack.  It is exact whenever the grammar system has no
     ε-cycles (every recursive path consumes input or shrinks the span),
     which holds for every grammar constructed in this library after
@@ -34,7 +34,7 @@ val count : Grammar.t -> string -> int
 (** Number of parses of the full string (via enumeration). *)
 
 val count_fast : Grammar.t -> string -> int
-(** Parse counting on the packed forest, without materializing trees —
+(** Parse counting on the packed chart, without materializing trees —
     polynomial even on grammars with exponentially many parses.  Agrees
     with {!count} (tested) under the same ε-acyclicity proviso;
     saturates at [max_int]. *)

@@ -1,5 +1,6 @@
 open Lambekd_cfg
 module Grammar = Lambekd_grammar
+module Chart = Lambekd_grammar.Chart
 module W = Lambekd_weighted
 module Clock = Lambekd_telemetry.Clock
 module Probe = Lambekd_telemetry.Probe
@@ -11,12 +12,13 @@ let c_requests = Probe.counter "service.requests"
 let c_timeouts = Probe.counter "service.timeouts"
 let c_fault_retries = Probe.counter "service.fault_retries"
 
+let engines =
+  [ "ll1"; "slr"; "earley"; "cyk"; "enum"; "forest"; "kbest"; "mass" ]
+
 (* One counter per resolved engine: which machinery actually serves the
    traffic (cache hits included — the engine was still the choice). *)
 let c_engine =
-  List.map
-    (fun n -> (n, Probe.counter ("exec.engine." ^ n)))
-    [ "ll1"; "slr"; "earley"; "cyk"; "enum"; "forest"; "kbest"; "mass" ]
+  List.map (fun n -> (n, Probe.counter ("exec.engine." ^ n))) engines
 
 let bump_engine name =
   match List.assoc_opt name c_engine with
@@ -31,8 +33,7 @@ let h_latency = Metrics.histogram "lambekd_request_ns"
 let h_engine =
   List.map
     (fun n -> (n, Metrics.histogram ("lambekd_request_ns_" ^ n)))
-    [ "ll1"; "slr"; "earley"; "cyk"; "enum"; "forest"; "kbest"; "mass";
-      "session" ]
+    (engines @ [ "session" ])
 
 let observe_latency ~engine_used dur_ns =
   if Metrics.enabled () then begin
@@ -73,8 +74,8 @@ let auto_cyk (b : Binarize.t) (req : Protocol.request) =
 
 (* The engine [Auto] resolves to, given what the artifact offers.  Like
    [Count], the weighted queries ignore engine pins: a mass query, or a
-   parse carrying ["weights"]/["kbest"], is answered by the hypergraph
-   engine with the request's normalized weight table (builtin defaults,
+   parse carrying ["weights"]/["kbest"], is answered by a sweep over the
+   packed chart with the request's normalized weight table (builtin defaults,
    else uniform, when the request ships none) — a table the registry
    fails to normalize is a bad request. *)
 let resolve (a : Registry.artifact) (req : Protocol.request) =
@@ -148,17 +149,17 @@ let run_engine engine (a : Registry.artifact) (req : Protocol.request) poll =
     if want_tree then Protocol.Accepted (Some (tree_string tree))
     else Protocol.Accepted None
   in
-  (* charts and forests alias pooled scratch storage, so every verdict
-     (including tree rendering) is produced inside the checkout *)
+  (* charts alias pooled scratch storage, so every verdict (including
+     tree rendering) is produced inside the checkout *)
+  let with_chart f =
+    Registry.with_scratch a (fun sc ->
+        f (Chart.build ~cs:a.cs ~pool:sc.Registry.ch ?poll a.grammar req.input))
+  in
   match engine with
   | `Forest ->
-    Registry.with_scratch a (fun sc ->
-        let forest =
-          Grammar.Forest.build ~cs:a.cs ~pool:sc.Registry.fp ?poll a.grammar
-            req.input
-        in
-        let count = Grammar.Forest.count forest in
-        Protocol.Count { count; saturated = Grammar.Forest.is_saturated count })
+    with_chart (fun h ->
+        let count = Chart.count h in
+        Protocol.Count { count; saturated = Chart.is_saturated count })
   | `Ll1 table -> (
     match Ll1.parse table req.input with
     | Ok tree -> accepted tree
@@ -169,14 +170,12 @@ let run_engine engine (a : Registry.artifact) (req : Protocol.request) poll =
     | Error _ -> Protocol.Rejected)
   | `Earley ->
     Registry.with_scratch a (fun sc ->
-        let leo = Option.value req.leo ~default:true in
         let chart =
-          Earley.run_compiled ~leo ~scratch:sc.Registry.es ?poll a.earley
-            req.input
+          Earley.run_compiled ~scratch:sc.Registry.es ?poll a.earley req.input
         in
         if not (Earley.accepts chart) then Protocol.Rejected
         else
-          match if want_tree then Earley.parse_tree chart else None with
+          match if want_tree then Earley.parse_tree ?poll chart else None with
           | Some tree -> accepted tree
           | None -> Protocol.Accepted None)
   | `Cyk b ->
@@ -199,38 +198,31 @@ let run_engine engine (a : Registry.artifact) (req : Protocol.request) poll =
         Protocol.Accepted None
       else Protocol.Rejected
     else
-      Registry.with_scratch a (fun sc ->
-          let forest =
-            Grammar.Forest.build ~cs:a.cs ~pool:sc.Registry.fp ?poll a.grammar
-              req.input
-          in
-          match Grammar.Forest.first_parse forest with
+      with_chart (fun h ->
+          match Chart.first_parse h with
           | Some p -> Protocol.Accepted (Some (Grammar.Ptree.to_string p))
           | None -> Protocol.Rejected)
   | `Kbest wt ->
-    (* the hypergraph allocates its own arrays (no pooled arena yet), so
-       no scratch checkout; lazy k-best touches only the derivations the
-       top-k frontier needs *)
-    let h = W.Hypergraph.build ~cs:a.cs ?poll a.grammar req.input in
-    if not (W.Hypergraph.accepts h) then Protocol.Rejected
-    else
-      let k = Option.value req.kbest ~default:1 in
-      let ds =
-        W.Hypergraph.kbest ?poll ~weight:(W.Weights.edge_weight wt) ~k h
-      in
-      Protocol.Ranked
-        { parses =
-            List.map
-              (fun (d : W.Hypergraph.derivation) ->
-                (d.logw, Grammar.Ptree.to_string d.tree))
-              ds }
+    with_chart (fun h ->
+        if not (Chart.accepts h) then Protocol.Rejected
+        else
+          let k = Option.value req.kbest ~default:1 in
+          let ds =
+            W.Sweep.kbest ?poll ~weight:(W.Weights.edge_weight wt) ~k h
+          in
+          Protocol.Ranked
+            { parses =
+                List.map
+                  (fun (d : W.Sweep.derivation) ->
+                    (d.logw, Grammar.Ptree.to_string d.tree))
+                  ds })
   | `Mass wt ->
-    let h = W.Hypergraph.build ~cs:a.cs ?poll a.grammar req.input in
-    Protocol.Mass
-      { log_mass =
-          W.Hypergraph.inside_root
-            (module W.Semiring.Inside)
-            ~weight:(W.Weights.edge_weight wt) h }
+    with_chart (fun h ->
+        Protocol.Mass
+          { log_mass =
+              W.Sweep.inside_root
+                (module W.Semiring.Inside)
+                ~weight:(W.Weights.edge_weight wt) h })
 
 let run_once registry ?deadline_ns (req : Protocol.request) =
   Probe.bump c_requests;
@@ -279,12 +271,6 @@ let run_once registry ?deadline_ns (req : Protocol.request) =
     bump_engine name;
     let key =
       query_tag req.query ^ ":" ^ name
-      ^ (* a pinned-off Leo run never shares cache entries with default
-           runs: verdicts are identical by construction, but the knob
-           exists to compare the engines, so keep the traffic separate *)
-      (match (engine, req.leo) with
-      | `Earley, Some false -> ":noleo"
-      | _ -> "")
       ^
       (* weighted verdicts depend on the normalized table and (for
          ranked output) on K, so both join the key: same input under a

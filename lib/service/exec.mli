@@ -5,7 +5,7 @@
     offers — LL(1) table, else SLR(1) table, else the indexed Earley
     recognizer, with the dense bitset CYK taking over membership queries
     when grammar density × input length crosses the bench-measured
-    threshold; [Count] queries always run the packed forest; [Enum] pins
+    threshold; [Count] queries always run the packed chart; [Enum] pins
     the grammar-model enumeration engines.  The engine actually used is
     recorded in the response.
 

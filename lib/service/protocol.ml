@@ -28,7 +28,6 @@ type request = {
   input : string;
   query : query;
   engine : engine_choice;
-  leo : bool option;
   weights : float array option;
   kbest : int option;
   timeout_ms : float option;
@@ -42,7 +41,7 @@ type admin_op = Op_metrics | Op_health
    request path.  [S_open] carries the grammar; every other op names an
    existing session on the wire. *)
 type session_op =
-  | S_open of { cfg : Cfg.t; gname : string; leo : bool option }
+  | S_open of { cfg : Cfg.t; gname : string }
   | S_append of { chunk : string }
   | S_edit of { at : int; del : int; ins : string }
   | S_query of { q : query }  (** [Membership] or [Parse] only *)
@@ -168,14 +167,6 @@ let decode_request j =
     | None -> Ok Auto
     | Some e -> engine_choice_of_name e
   in
-  let* leo =
-    match Json.mem "leo" j with
-    | None -> Ok None
-    | Some v -> (
-      match Json.bool_ v with
-      | Some b -> Ok (Some b)
-      | None -> Error "\"leo\" must be a boolean")
-  in
   let* weights =
     match Json.mem "weights" j with
     | None -> Ok None
@@ -213,8 +204,7 @@ let decode_request j =
   let* timeout_ms = decode_timeout_ms j in
   let* trace = decode_trace j in
   Ok
-    { id; cfg; gname; input; query; engine; leo; weights; kbest; timeout_ms;
-      trace }
+    { id; cfg; gname; input; query; engine; weights; kbest; timeout_ms; trace }
 
 (* --- session decoding ----------------------------------------------------- *)
 
@@ -241,15 +231,7 @@ let decode_session kind j =
     match kind with
     | `Open ->
       let* gname, cfg = decode_grammar j in
-      let* leo =
-        match Json.mem "leo" j with
-        | None -> Ok None
-        | Some v -> (
-          match Json.bool_ v with
-          | Some b -> Ok (Some b)
-          | None -> Error "\"leo\" must be a boolean")
-      in
-      Ok (S_open { cfg; gname; leo })
+      Ok (S_open { cfg; gname })
     | `Append -> (
       match Option.bind (Json.mem "chunk" j) Json.str with
       | Some chunk -> Ok (S_append { chunk })

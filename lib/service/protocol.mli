@@ -24,11 +24,6 @@
       exist for the grammar is a bad request, as is pinning the
       recognizer-only ["cyk"] on a ["parse"] query or on a grammar whose
       binarized form exceeds the registry's nonterminal budget.
-    - [leo]: boolean; pins the Earley engine's Leo right-recursion
-      optimization on or off for this request (default on — only
-      meaningful when the request runs Earley; verdicts are identical
-      either way, the knob exists for differential testing and perf
-      comparison).
     - [weights]: an array of raw production weights, one per production
       in production order (builtin or inline), normalized per
       left-hand side by the registry; valid on ["parse"] and ["mass"]
@@ -72,7 +67,6 @@ type request = {
   input : string;
   query : query;
   engine : engine_choice;
-  leo : bool option;  (** Earley Leo optimization pin; [None] = default *)
   weights : float array option;
       (** raw per-production weights from the wire; [None] = the
           grammar's default table (builtin defaults, else uniform) *)
@@ -110,7 +104,7 @@ type admin_op = Op_metrics | Op_health
     reuse and is byte-identical to a from-scratch parse of the final
     buffer. *)
 type session_op =
-  | S_open of { cfg : Lambekd_cfg.Cfg.t; gname : string; leo : bool option }
+  | S_open of { cfg : Lambekd_cfg.Cfg.t; gname : string }
   | S_append of { chunk : string }
   | S_edit of { at : int; del : int; ins : string }
   | S_query of { q : query }  (** decode guarantees [Membership]/[Parse] *)

@@ -3,18 +3,18 @@ module Charsets = Lambekd_grammar.Charsets
 module Clock = Lambekd_telemetry.Clock
 module Probe = Lambekd_telemetry.Probe
 
-module Forest = Lambekd_grammar.Forest
+module Chart = Lambekd_grammar.Chart
 module Weights = Lambekd_weighted.Weights
 
 (* A scratch bundle: the allocation-heavy per-request state the engines
-   can recycle — Earley chart storage and forest node arenas.  Bundles
-   are checked out exclusively ({!with_scratch}), so the mutable state
-   inside never crosses two concurrent requests. *)
+   can recycle — Earley chart storage, the packed-chart pool and the
+   dense-CYK arena.  Bundles are checked out exclusively
+   ({!with_scratch}), so the mutable state inside never crosses two
+   concurrent requests. *)
 type scratch = {
   es : Earley.scratch;
-  fp : Forest.pool;
+  ch : Chart.pool;
   cy : Cyk_dense.scratch;
-  lc : Cyk.scratch;
 }
 
 type scratch_pool = {
@@ -163,10 +163,7 @@ let take_scratch a =
     Probe.bump c_scratch_reuse;
     s
   | None ->
-    { es = Earley.scratch ();
-      fp = Forest.pool ();
-      cy = Cyk_dense.scratch ();
-      lc = Cyk.scratch () }
+    { es = Earley.scratch (); ch = Chart.pool (); cy = Cyk_dense.scratch () }
 
 let give_scratch a sc =
   Mutex.protect a.pool.pmu (fun () ->

@@ -21,15 +21,13 @@
 
 type scratch = {
   es : Lambekd_cfg.Earley.scratch;
-  fp : Lambekd_grammar.Forest.pool;
+  ch : Lambekd_grammar.Chart.pool;
   cy : Lambekd_cfg.Cyk_dense.scratch;
-  lc : Lambekd_cfg.Cyk.scratch;
 }
 (** One worker's reusable allocation-heavy state: Earley chart storage,
-    a forest node arena, the dense-CYK bitset arena and the legacy
-    set-based CYK's flat chart arena.  Obtained only through
-    {!with_scratch}, which guarantees exclusive use for the duration of
-    the callback. *)
+    the packed parse chart's pool and the dense-CYK bitset arena.
+    Obtained only through {!with_scratch}, which guarantees exclusive
+    use for the duration of the callback. *)
 
 type scratch_pool
 (** Per-artifact free list of {!scratch} bundles (mutex-guarded, capped). *)
@@ -81,8 +79,8 @@ val with_scratch : artifact -> (scratch -> 'a) -> 'a
 (** Check a scratch bundle out of the artifact's pool (allocating one on
     a cold pool — a warm checkout bumps the [earley.scratch_reuse]
     probe), run the callback with exclusive use of it, and check it back
-    in, also on exception.  Results that alias scratch storage (charts,
-    forests) must not escape the callback. *)
+    in, also on exception.  Results that alias scratch storage (Earley
+    and packed charts) must not escape the callback. *)
 
 val take_scratch : artifact -> scratch
 (** Check a bundle out for the long haul — an incremental session

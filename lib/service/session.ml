@@ -18,7 +18,7 @@ let c_reused_sets = Probe.counter "session.reused_sets"
    one session serialize in submission order however many workers race. *)
 
 type state =
-  | Unopened of { cfg : Cfg.t; leo : bool option }
+  | Unopened of { cfg : Cfg.t }
       (** created by route; the open op itself compiles and takes scratch *)
   | Opened of {
       artifact : Registry.artifact;
@@ -161,16 +161,15 @@ let route t (sq : Protocol.session_req) =
         e.last_used_ns <- now
       in
       match sq.Protocol.sq_op with
-      | Protocol.S_open { cfg; gname; leo } ->
+      | Protocol.S_open { cfg; _ } ->
         if Hashtbl.length t.tbl >= t.cap then evict_lru_locked t;
         let sid = "s" ^ string_of_int t.next_id in
         t.next_id <- t.next_id + 1;
-        ignore gname;
         let e =
           { sid;
             emu = Mutex.create ();
             cv = Condition.create ();
-            state = Unopened { cfg; leo };
+            state = Unopened { cfg };
             next_ticket = 1;
             turn = 0;
             canceled = Hashtbl.create 4;
@@ -277,14 +276,13 @@ let run_op t e (sq : Protocol.session_req) ~deadline_ns ~t0 =
   then timeout ()
   else
     match (e.state, sq.Protocol.sq_op) with
-    | Unopened { cfg; leo }, Protocol.S_open _ ->
+    | Unopened { cfg }, Protocol.S_open _ ->
       let artifact, hm =
         Registry.get ?trace:sq.Protocol.sq_trace t.registry cfg
       in
       let bundle = Registry.take_scratch artifact in
       let es =
-        Earley.session ?leo ~scratch:bundle.Registry.es
-          artifact.Registry.earley
+        Earley.session ~scratch:bundle.Registry.es artifact.Registry.earley
       in
       e.state <- Opened { artifact; bundle; es };
       Probe.bump c_opened;
@@ -305,7 +303,7 @@ let run_op t e (sq : Protocol.session_req) ~deadline_ns ~t0 =
           let accept = Earley.accepts ch in
           let tr =
             if accept && tree then
-              Option.map Exec.tree_string (Earley.parse_tree ch)
+              Option.map Exec.tree_string (Earley.parse_tree ?poll ch)
             else None
           in
           (accept, tr)

@@ -20,10 +20,9 @@ module Boolean = struct
   let to_string = string_of_bool
 end
 
-(* Saturating arithmetic, bit-for-bit the clamping [Forest.count] uses:
-   the counting sweep over the hypergraph must reproduce the forest's
-   ambiguity counts exactly, saturation included — that identity is the
-   built-in differential oracle between the two engines. *)
+(* Saturating arithmetic, bit-for-bit the clamping [Chart.count] uses:
+   a counting sweep reproduces the chart's ambiguity counts exactly,
+   saturation included. *)
 module Counting = struct
   type t = int
 

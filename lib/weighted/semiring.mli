@@ -1,15 +1,14 @@
 (** First-class semirings for weighted parsing.
 
-    A derivation in a parse hypergraph is scored by multiplying the
-    weights of the hyperedges it uses; a node (and ultimately the whole
+    A derivation in the packed parse chart is scored by multiplying the
+    weights of the edges it uses; a node (and ultimately the whole
     input) is scored by summing over the derivations below it.  Running
     that sweep over different semirings answers different questions with
-    the same hypergraph:
+    the same chart:
 
     - {!Boolean} — membership: is there any derivation at all?
     - {!Counting} — exact ambiguity counts with the saturating integer
-      arithmetic of [Forest.count] (so the two engines are mutually
-      differential oracles);
+      arithmetic of [Chart.count];
     - {!Viterbi} — the best (maximum-probability) derivation, in
       log-space: ⊕ is [max], ⊗ is [+.];
     - {!Inside} — total derivation mass (inside probability), in
@@ -41,7 +40,7 @@ module Boolean : S with type t = bool
 
 module Counting : S with type t = int
 (** Saturating non-negative integers: [plus] and [times] clamp at
-    [max_int], matching [Lambekd_grammar.Forest.count]. *)
+    [max_int], matching [Lambekd_grammar.Chart.count]. *)
 
 module Viterbi : S with type t = float
 (** Max-times over probabilities, represented in log-space:

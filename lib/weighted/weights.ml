@@ -1,5 +1,6 @@
 open Lambekd_cfg
 module Index = Lambekd_grammar.Index
+module Chart = Lambekd_grammar.Chart
 
 type t = { logp : float array; digest : string }
 
@@ -76,6 +77,6 @@ let logp t i = t.logp.(i)
 let digest t = t.digest
 
 let edge_weight t = function
-  | Hypergraph.LInj (Index.N i) when i >= 0 && i < Array.length t.logp ->
+  | Chart.LInj (Index.N i) when i >= 0 && i < Array.length t.logp ->
     t.logp.(i)
   | _ -> 0.

@@ -4,11 +4,11 @@
     conditional probability P(rhs | lhs): raw non-negative weights are
     normalized per left-hand side, stored as log-probabilities, and
     fingerprinted so a table can key result caches alongside the
-    grammar digest.  Tables plug into {!Hypergraph} sweeps through
+    grammar digest.  Tables plug into {!Sweep} sweeps through
     {!edge_weight}: a CFG realized by [Cfg.to_grammar] tags each
     alternative with [Index.N i], the global production index, so the
     table's weight for production [i] lands exactly on that [LInj]
-    hyperedge and every other edge weighs [one] (log 0). *)
+    chart edge and every other edge weighs [one] (log 0). *)
 
 type t
 
@@ -35,6 +35,6 @@ val digest : t -> string
     distinct for distinct normalized tables; meant to be concatenated
     into artifact/result cache keys. *)
 
-val edge_weight : t -> Hypergraph.label -> float
+val edge_weight : t -> Lambekd_grammar.Chart.label -> float
 (** Log-space weight of a hyperedge: [logp i] on [LInj (Index.N i)]
     for covered [i], [0.] (the multiplicative identity) elsewhere. *)

@@ -103,6 +103,77 @@ let test_earley_parse_tree () =
     check_bool "genuine parse" true
       (List.exists (P.equal pt) (E.parses (Cfg.to_grammar anbn) "aabb"))
 
+(* Tree reconstruction is memoized per (nonterminal, span).  Without the
+   memo, left-nested sums on the right-biased expression grammar rebuilt
+   every rejected split's subtree: doubling per nesting level, so depth
+   40 would not finish.  The trees are the ones the unmemoized walk
+   produced: on the unambiguous grammar the unique parse, on ambiguous
+   and cyclic grammars the pinned first-found trees. *)
+let expr_plain =
+  Cfg.make ~start:"E"
+    ~productions:
+      [ ("E", [ Cfg.N "A" ]);
+        ("E", [ Cfg.N "A"; Cfg.T '+'; Cfg.N "E" ]);
+        ("A", [ Cfg.T 'n' ]);
+        ("A", [ Cfg.T '('; Cfg.N "E"; Cfg.T ')' ]) ]
+
+let rec nest d = if d = 0 then "n" else "(" ^ nest (d - 1) ^ ")+n"
+
+let rec nest_tree d =
+  if d = 0 then "cfg[σ0·cfg[σ2·'n']]"
+  else
+    "cfg[σ1·(cfg[σ3·('(' ⊗ (" ^ nest_tree (d - 1)
+    ^ " ⊗ ')'))] ⊗ ('+' ⊗ cfg[σ0·cfg[σ2·'n']]))]"
+
+let tree_string t = P.to_string (Earley.tree_to_ptree t)
+
+let test_earley_parse_tree_memo () =
+  let comp = Earley.compile expr_plain in
+  for d = 0 to 40 do
+    let ch = Earley.run_compiled comp (nest d) in
+    match Earley.parse_tree ch with
+    | Some t ->
+      Alcotest.(check string) (Fmt.str "depth %d tree" d) (nest_tree d)
+        (tree_string t)
+    | None -> Alcotest.failf "depth %d: no parse" d
+  done;
+  (* a fixed bound far above the memoized walk (well under 10 ms here)
+     and far below the unmemoized one *)
+  let ch = Earley.run_compiled comp (nest 40) in
+  let t0 = Unix.gettimeofday () in
+  ignore (Earley.parse_tree ch);
+  check_bool "depth 40 within 1 s" true (Unix.gettimeofday () -. t0 < 1.);
+  (* poll runs at constituent visits and may abort the walk *)
+  let calls = ref 0 in
+  let poll () = incr calls; if !calls > 50 then raise Exit in
+  check_bool "poll aborts" true
+    (match Earley.parse_tree ~poll ch with _ -> false | exception Exit -> true);
+  let ss =
+    Cfg.make ~start:"S"
+      ~productions:[ ("S", [ Cfg.N "S"; Cfg.N "S" ]); ("S", [ Cfg.T 'a' ]) ]
+  in
+  let cyc =
+    Cfg.make ~start:"S"
+      ~productions:
+        [ ("S", [ Cfg.N "A" ]); ("S", [ Cfg.N "S"; Cfg.N "S" ]);
+          ("S", [ Cfg.T 'a' ]); ("S", []); ("A", [ Cfg.N "S" ]);
+          ("A", [ Cfg.T 'b'; Cfg.N "A" ]) ]
+  in
+  List.iter
+    (fun (name, cfg, w, want) ->
+      match Earley.parse cfg w with
+      | Some t ->
+        Alcotest.(check string) (Fmt.str "%s %S" name w) want (tree_string t)
+      | None -> Alcotest.failf "%s %S: no parse" name w)
+    [ ("ss", ss, "aaaa",
+       "cfg[σ0·(cfg[σ1·'a'] ⊗ cfg[σ0·(cfg[σ1·'a'] ⊗ cfg[σ0·(cfg[σ1·'a'] ⊗ cfg[σ1·'a'])])])]");
+      ("cyc", cyc, "", "cfg[σ3·ε]");
+      ("cyc", cyc, "ab",
+       "cfg[σ1·(cfg[σ2·'a'] ⊗ cfg[σ0·cfg[σ5·('b' ⊗ cfg[σ4·cfg[σ3·ε]])]])]");
+      ("cyc", cyc, "ba", "cfg[σ0·cfg[σ5·('b' ⊗ cfg[σ4·cfg[σ2·'a']])]]");
+      ("cyc", cyc, "bab",
+       "cfg[σ0·cfg[σ5·('b' ⊗ cfg[σ4·cfg[σ1·(cfg[σ2·'a'] ⊗ cfg[σ0·cfg[σ5·('b' ⊗ cfg[σ4·cfg[σ3·ε]])]])]])]]") ]
+
 let test_earley_parse_hard () =
   List.iter
     (fun w ->
@@ -137,30 +208,6 @@ let test_cyk_empty () =
   let no_eps = Cfg.make ~start:"S" ~productions:[ ("S", [ Cfg.T 'a' ]) ] in
   check_bool "no eps" false (Cyk.accepts_empty (Cyk.of_cfg no_eps));
   check_bool "rules exist" true (Cyk.rule_count (Cyk.of_cfg anbn) > 0)
-
-(* The pooled flat-chart arena must be invisible: verdicts with a shared
-   scratch across many calls (including a longer word after shorter
-   ones, and vice versa) equal the scratch-free ones, and warm calls
-   actually reuse the arena. *)
-let test_cyk_scratch_reuse () =
-  let was_enabled = Probe.enabled () in
-  Probe.enable ();
-  let reuse = Probe.counter "cyk.scratch_reuse" in
-  let before = Probe.value reuse in
-  let sc = Cyk.scratch () in
-  List.iter
-    (fun cfg ->
-      let cnf = Cyk.of_cfg cfg in
-      List.iter
-        (fun w ->
-          check_bool (Fmt.str "scratch verdict %S" w)
-            (Cyk.recognizes cnf w)
-            (Cyk.recognizes ~scratch:sc cnf w))
-        ([ "aaabbb"; "ab"; ""; "aabbab" ]
-        @ L.words (Cfg.alphabet cfg) ~max_len:5))
-    [ anbn; hard; dyck_cfg ];
-  check_bool "warm calls reuse the arena" true (Probe.value reuse > before);
-  if not was_enabled then Probe.disable ()
 
 (* --- FIRST/FOLLOW and LL(1) ----------------------------------------------------- *)
 
@@ -1033,6 +1080,7 @@ let suite =
     ("earley basic", `Quick, test_earley_basic);
     ("earley nullable+left-recursive", `Quick, test_earley_hard);
     ("earley parse tree", `Quick, test_earley_parse_tree);
+    ("earley parse tree memoized", `Quick, test_earley_parse_tree_memo);
     ("earley parse on hard grammar", `Quick, test_earley_parse_hard);
     ("earley chart size", `Quick, test_earley_chart_size_grows);
     ("earley indexed vs scan completer", `Quick, test_earley_indexed_vs_scan);
@@ -1044,7 +1092,6 @@ let suite =
     ("first/last sets", `Quick, test_first_last);
     ("cyk matches earley", `Quick, test_cyk_matches_earley);
     ("cyk empty string", `Quick, test_cyk_empty);
-    ("cyk scratch reuse", `Quick, test_cyk_scratch_reuse);
     ("first/follow", `Quick, test_first_follow);
     ("ll1 table construction", `Quick, test_ll1_build);
     ("ll1 parser", `Quick, test_ll1_parse);

@@ -335,7 +335,7 @@ let test_registry_differential () =
       let w = random_word rng in
       let req =
         { Protocol.id = None; cfg; gname = "random"; input = w;
-          query = Protocol.Membership; engine = Protocol.Auto; leo = None;
+          query = Protocol.Membership; engine = Protocol.Auto;
           weights = None; kbest = None; timeout_ms = None; trace = None }
       in
       let cold = Exec.run (Registry.create ~artifact_cap:0 ~result_cap:0 ()) req in
@@ -471,6 +471,27 @@ let test_timeout () =
   match r.Protocol.outcome with
   | Error (Protocol.Timeout { after_ms }) ->
     check_bool "after_ms echoes budget" true (after_ms = 0.)
+  | _ -> Alcotest.fail "expected a timeout"
+
+(* Deeply left-nested sums on the right-biased expression grammar: the
+   Earley tree walk is polynomial (it once doubled per nesting level), and
+   a parse whose budget runs out answers timeout. *)
+let test_deep_parse () =
+  let rec nest d = if d = 0 then "n" else "(" ^ nest (d - 1) ^ ")+n" in
+  let line ?timeout d =
+    Fmt.str {|{"grammar":"expr_plain","input":"%s","query":"parse","engine":"earley"%s}|}
+      (nest d)
+      (match timeout with
+      | Some ms -> Fmt.str {|,"timeout_ms":%d|} ms
+      | None -> "")
+  in
+  (match (run_line (line 40)).Protocol.outcome with
+  | Ok (Protocol.Accepted (Some tree)) ->
+    check_bool "depth 40 tree" true (String.length tree > 0)
+  | _ -> Alcotest.fail "expected a parse tree");
+  match (run_line (line ~timeout:1 4000)).Protocol.outcome with
+  | Error (Protocol.Timeout { after_ms }) ->
+    check_bool "after_ms echoes budget" true (after_ms = 1.)
   | _ -> Alcotest.fail "expected a timeout"
 
 let test_result_cache () =
@@ -799,7 +820,9 @@ let test_engine_counters () =
   let was_enabled = Probe.enabled () in
   Probe.enable ();
   let counter n = Probe.counter ("exec.engine." ^ n) in
-  let names = [ "ll1"; "slr"; "earley"; "cyk"; "enum"; "forest" ] in
+  let names =
+    [ "ll1"; "slr"; "earley"; "cyk"; "enum"; "forest"; "kbest"; "mass" ]
+  in
   let before = List.map (fun n -> (n, Probe.value (counter n))) names in
   let reg = Registry.create ~result_cap:0 () in
   let run line =
@@ -812,11 +835,13 @@ let test_engine_counters () =
   run {|{"grammar":"expr_lr","input":"n"}|};
   (* auto → slr *)
   run {|{"grammar":"expr_plain","input":"n+n","engine":"earley"}|};
-  run {|{"grammar":"expr_plain","input":"n+n","engine":"earley","leo":false}|};
+  run {|{"grammar":"expr_plain","input":"n+n","engine":"earley","query":"parse"}|};
   run {|{"grammar":"dyck","input":"()","engine":"enum"}|};
   run {|{"grammar":"anbn","input":"ab","engine":"cyk"}|};
   run {|{"grammar":"ss","input":"aaa","query":"count"}|};
   (* count → forest *)
+  run {|{"grammar":"ss","input":"aaa","query":"parse","kbest":2}|};
+  run {|{"grammar":"ss","input":"aaa","query":"mass"}|};
   let grew n want =
     let b = List.assoc n before in
     check_int ("exec.engine." ^ n) (b + want) (Probe.value (counter n))
@@ -827,15 +852,18 @@ let test_engine_counters () =
   grew "cyk" 1;
   grew "enum" 1;
   grew "forest" 1;
+  grew "kbest" 1;
+  grew "mass" 1;
   if not was_enabled then Probe.disable ()
 
 (* --- pooled scratch ------------------------------------------------------- *)
 
-(* Requests that hammer the allocation-lean paths: Earley charts (leo on
-   and pinned off), Leo expansion + tree rendering from pooled charts,
-   and forest node arenas — against a handful of artifacts with input
-   sizes that grow and shrink, so a stale scratch entry from a longer
-   earlier run would surface as a wrong verdict or a corrupt tree. *)
+(* Requests that hammer the allocation-lean paths: Earley charts, Leo
+   expansion + tree rendering from pooled charts, and the packed-chart
+   pool behind count, k-best and mass — against a handful of artifacts
+   with input sizes that grow and shrink, so a stale scratch entry from
+   a longer earlier run would surface as a wrong verdict or a corrupt
+   tree. *)
 let scratch_requests () =
   List.filter_map
     (fun line ->
@@ -849,10 +877,16 @@ let scratch_requests () =
                 i
                 (String.concat "" (List.init (i * 5 mod 23) (fun _ -> "+n")));
               Fmt.str
-                {|{"id":"m%d","grammar":"anbn","input":"%s","engine":"earley","leo":%b}|}
+                {|{"id":"m%d","grammar":"anbn","input":"%s","engine":"earley","query":"%s"}|}
                 i
                 (String.make (i mod 9) 'a' ^ String.make (i mod 9) 'b')
-                (i mod 2 = 0);
+                (if i mod 2 = 0 then "member" else "parse");
+              Fmt.str
+                {|{"id":"k%d","grammar":"ss","input":"%s",%s}|}
+                i
+                (String.make (1 + (i * 5 mod 11)) 'a')
+                (if i mod 2 = 0 then {|"query":"mass"|}
+                 else {|"query":"parse","kbest":3|});
               Fmt.str
                 {|{"id":"c%d","grammar":"ss","input":"%s","query":"count"}|}
                 i
@@ -1178,9 +1212,7 @@ let test_parse_session_lines () =
   check_string "open id" "o1" (Option.value ~default:"" sq.Protocol.sq_id);
   check_string "open carries no sid" "" sq.Protocol.sq_sid;
   (match sq.Protocol.sq_op with
-  | Protocol.S_open { gname; leo; _ } ->
-    check_string "grammar name" "dyck" gname;
-    check_bool "leo defaults to None" true (leo = None)
+  | Protocol.S_open { gname; _ } -> check_string "grammar name" "dyck" gname
   | _ -> Alcotest.fail "expected S_open");
   (match sline {|{"op":"append","session":"s0","chunk":"(("}|} with
   | { Protocol.sq_sid = "s0"; sq_op = Protocol.S_append { chunk = "((" }; _ }
@@ -1594,4 +1626,6 @@ let suite =
     Alcotest.test_case "session: lru eviction" `Quick test_session_eviction;
     Alcotest.test_case "session: paranoid oracle agrees" `Quick
       test_session_paranoid;
-    QCheck_alcotest.to_alcotest prop_session_service_differential ]
+    QCheck_alcotest.to_alcotest prop_session_service_differential;
+    Alcotest.test_case "exec: deep parse, polynomial tree walk" `Quick
+      test_deep_parse ]

@@ -1,18 +1,19 @@
-(* Tests for the weighted-hypergraph subsystem: semiring laws, the
-   counting-semiring differential against [Forest.count] on random
-   grammars, Viterbi / lazy k-best (ordering, determinism, hand
-   oracles), inside/outside consistency, PCFG weight-table validation,
+(* Tests for weighted parsing over the packed chart: semiring laws, the
+   chart's count against an independent derivation counter and its
+   membership against [Enum.accepts] on random grammars, Viterbi / lazy
+   k-best (ordering, determinism, hand oracles), inside/outside
+   consistency, PCFG weight-table validation,
    terminal interning for [Enum.accepts], and a 4-domain stress test
    asserting ranked output is byte-identical to serial — clean and under
    a committed fault schedule. *)
 
 module W = Lambekd_weighted
 module S = W.Semiring
-module H = W.Hypergraph
+module H = W.Sweep
+module Chart = Lambekd_grammar.Chart
 module Weights = W.Weights
 module Cfg = Lambekd_cfg.Cfg
 module Grammar = Lambekd_grammar.Grammar
-module Forest = Lambekd_grammar.Forest
 module Enum = Lambekd_grammar.Enum
 module Ptree = Lambekd_grammar.Ptree
 module Probe = Lambekd_telemetry.Probe
@@ -135,23 +136,128 @@ let random_word ?(alphabet = "ab") rng =
   String.init (Random.State.int rng 6) (fun _ ->
       alphabet.[Random.State.int rng n])
 
-(* The built-in differential oracle: the counting-semiring inside weight
-   at the root must equal [Forest.count] bit for bit, and the hypergraph
-   accepts exactly when membership holds.  200 random grammars, several
-   words each, seeded through qcheck so failures shrink to a seed. *)
-let qcheck_counting_differential =
-  QCheck.Test.make ~name:"counting inside = Forest.count on random grammars"
+(* An independent count oracle: derivations of [w] counted straight off
+   the [Cfg.t] productions, memoized per (nonterminal, span), with the
+   chart's saturating arithmetic.  It is exact — and terminates — on
+   grammars without same-span cycles: no A ⇒+ A through productions
+   whose other symbols are all nullable (ε-cycles and unit cycles). *)
+let sat_add a b = if a + b < 0 then max_int else a + b
+
+let sat_mul a b =
+  if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
+
+let nullable_set (cfg : Cfg.t) =
+  let nul = Hashtbl.create 8 in
+  let sym_nullable = function
+    | Cfg.T _ -> false
+    | Cfg.N m -> Hashtbl.mem nul m
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun (p : Cfg.production) ->
+        if (not (Hashtbl.mem nul p.lhs)) && List.for_all sym_nullable p.rhs
+        then begin
+          Hashtbl.replace nul p.lhs ();
+          changed := true
+        end)
+      cfg.Cfg.productions
+  done;
+  sym_nullable
+
+(* A ⇝ B when some A → α B β has α and β nullable *)
+let same_span_cyclic (cfg : Cfg.t) =
+  let nullable = nullable_set cfg in
+  let succ a =
+    List.concat_map
+      (fun (_, (p : Cfg.production)) ->
+        let rec go pre = function
+          | [] -> []
+          | sym :: rest ->
+            let here =
+              match sym with
+              | Cfg.N b when pre && List.for_all nullable rest -> [ b ]
+              | _ -> []
+            in
+            here @ go (pre && nullable sym) rest
+        in
+        go true p.rhs)
+      (Cfg.productions_of cfg a)
+  in
+  let rec reaches seen a target =
+    List.exists
+      (fun b ->
+        String.equal b target
+        || ((not (List.mem b seen)) && reaches (b :: seen) b target))
+      (succ a)
+  in
+  List.exists (fun a -> reaches [ a ] a a) (Cfg.nonterminals cfg)
+
+let oracle_count (cfg : Cfg.t) w =
+  let nullable = nullable_set cfg in
+  let memo = Hashtbl.create 64 in
+  let rec d a i j =
+    if i = j && not (nullable (Cfg.N a)) then 0
+    else
+      match Hashtbl.find_opt memo (a, i, j) with
+      | Some (Some c) -> c
+      | Some None -> Alcotest.failf "oracle: same-span cycle at %s" a
+      | None ->
+        Hashtbl.replace memo (a, i, j) None;
+        let c =
+          List.fold_left
+            (fun acc (_, (p : Cfg.production)) -> sat_add acc (s p.rhs i j))
+            0 (Cfg.productions_of cfg a)
+        in
+        Hashtbl.replace memo (a, i, j) (Some c);
+        c
+  and s rhs i j =
+    match rhs with
+    | [] -> if i = j then 1 else 0
+    | Cfg.T c :: rest ->
+      if i < j && Char.equal w.[i] c then s rest (i + 1) j else 0
+    | Cfg.N m :: rest ->
+      let acc = ref 0 in
+      for k = i to j do
+        (* an empty side must be nullable: keeps same-span recursion on
+           the ⇝ edges alone *)
+        if (k > i || nullable (Cfg.N m)) && (k < j || List.for_all nullable rest)
+        then acc := sat_add !acc (sat_mul (d m i k) (s rest k j))
+      done;
+      !acc
+  in
+  d cfg.Cfg.start 0 (String.length w)
+
+let rec cycle_free_cfg rng =
+  let cfg = random_cfg rng in
+  if same_span_cyclic cfg then cycle_free_cfg rng else cfg
+
+let qcheck_count_oracle =
+  QCheck.Test.make ~name:"chart count = derivation counter, cycle-free grammars"
     ~count:200
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let rng = Random.State.make [| 0xc0de; seed |] in
+      let cfg = cycle_free_cfg rng in
+      let g = Cfg.to_grammar cfg in
+      List.for_all
+        (fun w -> Chart.count (Chart.build g w) = oracle_count cfg w)
+        (List.init 4 (fun _ -> random_word rng)
+        @ [ String.init 8 (fun _ -> if Random.State.bool rng then 'a' else 'b') ]))
+
+(* Membership holds on every random grammar, ε- and unit-cycles
+   included: the chart accepts exactly when [Enum.accepts] does. *)
+let qcheck_accepts_differential =
+  QCheck.Test.make ~name:"chart accepts = Enum.accepts on random grammars"
+    ~count:200
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| 0xacce; seed |] in
       let cfg = random_cfg rng in
       let g = Cfg.to_grammar cfg in
       List.for_all
-        (fun w ->
-          let h = H.build g w in
-          H.count h = Forest.count_string g w
-          && H.accepts h = Enum.accepts g w)
+        (fun w -> Chart.accepts (Chart.build g w) = Enum.accepts g w)
         (List.init 4 (fun _ -> random_word rng)))
 
 let qcheck_kbest_properties =
@@ -167,8 +273,8 @@ let qcheck_kbest_properties =
       let weight = Weights.edge_weight wt in
       List.for_all
         (fun w ->
-          let h = H.build g w in
-          let total = H.count h in
+          let h = Chart.build g w in
+          let total = Chart.count h in
           let k = 1 + Random.State.int rng 7 in
           let ds = H.kbest ~weight ~k h in
           let rec non_incr = function
@@ -225,7 +331,7 @@ let test_mass_oracle () =
   let wt = ss_weights () in
   let weight = Weights.edge_weight wt in
   let mass w =
-    Float.exp (H.inside_root (module S.Inside) ~weight (H.build g w))
+    Float.exp (H.inside_root (module S.Inside) ~weight (Chart.build g w))
   in
   (* a^n has Catalan(n-1) parses, each using n-1 branch rules and n leaf
      rules: mass(a^n) = C(n-1) · 0.4^(n-1) · 0.6^n *)
@@ -236,16 +342,16 @@ let test_mass_oracle () =
   check_close "rejected mass is zero" 0. (mass "b");
   (* the boolean sweep is membership *)
   check_bool "boolean inside accepts" true
-    (H.inside_root (module S.Boolean) ~weight:(fun _ -> true) (H.build g "aaa"));
+    (H.inside_root (module S.Boolean) ~weight:(fun _ -> true) (Chart.build g "aaa"));
   check_bool "boolean inside rejects" false
-    (H.inside_root (module S.Boolean) ~weight:(fun _ -> true) (H.build g "b"))
+    (H.inside_root (module S.Boolean) ~weight:(fun _ -> true) (Chart.build g "b"))
 
 let test_kbest_oracle () =
   let cfg = ss_cfg () in
   let g = Cfg.to_grammar cfg in
   let weight = Weights.edge_weight (ss_weights ()) in
-  let h = H.build g "aaaa" in
-  check_int "a^4 has Catalan(3) = 5 parses" 5 (H.count h);
+  let h = Chart.build g "aaaa" in
+  check_int "a^4 has Catalan(3) = 5 parses" 5 (Chart.count h);
   let ds = H.kbest ~weight ~k:10 h in
   check_int "kbest exhausts at 5" 5 (List.length ds);
   (* every derivation of a^4 uses 3 branch and 4 leaf applications *)
@@ -257,7 +363,7 @@ let test_kbest_oracle () =
       (List.map (fun d -> Ptree.to_string d.H.tree) ds)
   in
   check_string "tie order stable across rebuilds" (render ds)
-    (render (H.kbest ~weight ~k:10 (H.build g "aaaa")));
+    (render (H.kbest ~weight ~k:10 (Chart.build g "aaaa")));
   let trees = List.map (fun d -> Ptree.to_string d.H.tree) ds in
   check_int "derivations distinct" 5
     (List.length (List.sort_uniq String.compare trees));
@@ -276,19 +382,19 @@ let test_inside_outside_consistency () =
     let cfg = random_cfg rng in
     let g = Cfg.to_grammar cfg in
     let w = random_word rng in
-    let h = H.build g w in
-    if H.accepts h then begin
+    let h = Chart.build g w in
+    if Chart.accepts h then begin
       let one _ = 1 in
       let ins = H.inside (module S.Counting) ~weight:one h in
       let out = H.outside (module S.Counting) ~weight:one ~inside:ins h in
-      let root = H.root h in
+      let root = Chart.root h in
       let total = ins.(root) in
       check_int "outside(root) = one" 1 out.(root);
-      check_int "inside(root) = count" (H.count h) total;
+      check_int "inside(root) = count" (Chart.count h) total;
       (* through-count: derivations containing node v; a node is on at
          most every derivation, and the root is on all of them *)
       if not (S.saturated total) then
-        for v = 0 to H.nodes h - 1 do
+        for v = 0 to Chart.nodes h - 1 do
           let through = S.Counting.times ins.(v) out.(v) in
           if through > total then
             Alcotest.failf "node %d: through %d > total %d" v through total
@@ -521,6 +627,7 @@ let suite =
     Alcotest.test_case "4-domain ranked stress" `Slow
       test_ranked_domain_stress ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_counting_differential;
+      [ qcheck_accepts_differential;
+        qcheck_count_oracle;
         qcheck_kbest_properties;
         qcheck_intern_transparent ]
