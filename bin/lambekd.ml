@@ -11,7 +11,7 @@
      serve  — NDJSON parse service over stdio or TCP (grammar registry +
               multi-domain scheduler, concurrent connections, graceful
               drain on SIGINT/SIGTERM)
-     batch  — run an NDJSON request file through the service pipeline
+     batch  — run an NDJSON request file through the serve loop
      fuzz   — seeded differential fuzzing of the service against the
               serial reference, optionally under fault schedules *)
 
@@ -399,55 +399,6 @@ let service_exits =
       Cmd.Exit.info ~doc:"when every request line was well-formed but at \
                           least one exceeded its time budget." exit_timeout ]
 
-(* Workers complete out of submission order; the writer buffers responses
-   and releases them in order, so service output is byte-identical
-   however many domains raced — which is what the CI smoke diff and the
-   serial/parallel differential test check. *)
-module Ordered_writer = struct
-  type t = {
-    mu : Mutex.t;
-    pending : (int, string) Hashtbl.t;
-    mutable next : int;
-    oc : out_channel;
-  }
-
-  let create oc = { mu = Mutex.create (); pending = Hashtbl.create 64; next = 0; oc }
-
-  let write t seq line =
-    Mutex.protect t.mu (fun () ->
-        Hashtbl.replace t.pending seq line;
-        let rec pump () =
-          match Hashtbl.find_opt t.pending t.next with
-          | Some l ->
-            Hashtbl.remove t.pending t.next;
-            output_string t.oc l;
-            output_char t.oc '\n';
-            flush t.oc;
-            t.next <- t.next + 1;
-            pump ()
-          | None -> ()
-        in
-        pump ())
-end
-
-(* Exit-code bookkeeping across a stream of responses (callbacks run on
-   worker domains, hence atomics). *)
-type verdict_flags = { malformed : bool Atomic.t; timed_out : bool Atomic.t }
-
-let flags_create () =
-  { malformed = Atomic.make false; timed_out = Atomic.make false }
-
-let flags_note flags (r : Sv.Protocol.response) =
-  match r.outcome with
-  | Error (Sv.Protocol.Bad_request _) -> Atomic.set flags.malformed true
-  | Error (Sv.Protocol.Timeout _) -> Atomic.set flags.timed_out true
-  | Error (Sv.Protocol.Overloaded _) | Ok _ -> ()
-
-let flags_exit flags =
-  if Atomic.get flags.malformed then exit_malformed
-  else if Atomic.get flags.timed_out then exit_timeout
-  else 0
-
 let status_exit : Sv.Server.status -> int = function
   | `Clean -> 0
   | `Malformed -> exit_malformed
@@ -545,10 +496,89 @@ let store_gauges stats =
       ("lambekd_store_evictions",
        fun () -> (stats ()).Sv.Registry.store_evictions) ]
 
+(* --- flags shared by serve and batch --------------------------------------- *)
+
+type service_opts = {
+  domains : int option;
+  queue_cap : int;
+  artifact_cap : int;
+  result_cap : int;
+  times : bool;
+}
+
+(* a negative pool size is a usage error, reported like any bad flag *)
+let nonneg_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (Fmt.str "invalid value '%s', expected a non-negative integer" s)
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
+let service_term =
+  let domains =
+    Arg.(
+      value
+      & opt (some nonneg_int) None
+      & info [ "domains" ] ~docv:"N"
+          ~doc:
+            "Worker domains in the scheduler pool (default: the runtime's \
+             recommended domain count minus one, at least 1).  0 runs \
+             every request on the calling thread, in line order: the \
+             serial reference any pooled run's output is byte-compared \
+             against.")
+  in
+  let queue_cap =
+    Arg.(
+      value
+      & opt int 64
+      & info [ "queue-cap" ] ~docv:"N"
+          ~doc:
+            "Bound on queued requests.  When the queue is full, $(b,serve) \
+             sheds new requests with an $(i,overloaded) response carrying \
+             a retry hint; $(b,batch) waits for room.")
+  in
+  let artifact_cap =
+    Arg.(
+      value
+      & opt int 64
+      & info [ "artifact-cache" ] ~docv:"N"
+          ~doc:"Compiled-grammar LRU capacity (0 disables).")
+  in
+  let result_cap =
+    Arg.(
+      value
+      & opt int 4096
+      & info [ "result-cache" ] ~docv:"N"
+          ~doc:"Query-result LRU capacity (0 disables).")
+  in
+  let no_times =
+    Arg.(
+      value & flag
+      & info [ "no-times" ]
+          ~doc:
+            "Omit the $(i,ns) duration field and the volatile admin detail \
+             from responses, making output byte-reproducible (used by the \
+             CI smoke diff).")
+  in
+  Term.(
+    const (fun domains queue_cap artifact_cap result_cap no_times ->
+        { domains; queue_cap; artifact_cap; result_cap; times = not no_times })
+    $ domains $ queue_cap $ artifact_cap $ result_cap $ no_times)
+
+(* The scheduler both front ends serve from, over a registry that is
+   store-backed and preloaded when a store is open. *)
+let start_service o store =
+  let registry =
+    Sv.Registry.create ~artifact_cap:o.artifact_cap ~result_cap:o.result_cap
+      ?store ()
+  in
+  preload_store registry;
+  Sv.Scheduler.create ?domains:o.domains ~queue_cap:o.queue_cap ~registry ()
+
 let serve_cmd =
-  let run common domains queue_cap artifact_cap result_cap no_times tcp
-      max_conns max_line_bytes metrics_tcp slow_ms paranoid session_cap
-      store =
+  let run common opts tcp max_conns max_line_bytes metrics_tcp slow_ms
+      paranoid session_cap store =
     with_telemetry common @@ fun () ->
     with_faults @@ fun () ->
     match open_store store with
@@ -559,10 +589,9 @@ let serve_cmd =
     (* a vanished peer must surface as EPIPE on the write, not kill the
        process *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let registry = Sv.Registry.create ~artifact_cap ~result_cap ?store () in
-    preload_store registry;
-    let times = not no_times in
-    let sched = Sv.Scheduler.create ?domains ~queue_cap ~registry () in
+    let sched = start_service opts store in
+    let registry = Sv.Scheduler.registry sched in
+    let times = opts.times in
     (* one session table shared by every connection: a session opened on
        one TCP connection can be appended to from another *)
     let sessions = Sv.Session.create ~cap:session_cap ~paranoid ~registry () in
@@ -673,46 +702,6 @@ let serve_cmd =
                 (Sv.Server.connections t));
           0))
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains in the scheduler pool (default: the runtime's \
-             recommended domain count minus one, at least 1).")
-  in
-  let queue_cap =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "queue-cap" ] ~docv:"N"
-          ~doc:
-            "Bound on queued requests; beyond it new requests are shed \
-             with an $(i,overloaded) response carrying a retry hint.")
-  in
-  let artifact_cap =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "artifact-cache" ] ~docv:"N"
-          ~doc:"Compiled-grammar LRU capacity (0 disables).")
-  in
-  let result_cap =
-    Arg.(
-      value
-      & opt int 4096
-      & info [ "result-cache" ] ~docv:"N"
-          ~doc:"Query-result LRU capacity (0 disables).")
-  in
-  let no_times =
-    Arg.(
-      value & flag
-      & info [ "no-times" ]
-          ~doc:
-            "Omit the $(i,ns) duration field from responses, making output \
-             byte-reproducible (used by the CI smoke diff).")
-  in
   let tcp =
     Arg.(
       value
@@ -795,196 +784,47 @@ let serve_cmd =
           request order.  See lib/service/protocol.mli for the wire \
           format.")
     Term.(
-      const run $ common_term $ domains $ queue_cap $ artifact_cap
-      $ result_cap $ no_times $ tcp $ max_conns $ max_line_bytes
-      $ metrics_tcp $ slow_ms $ paranoid $ session_cap $ store_term)
+      const run $ common_term $ service_term $ tcp $ max_conns
+      $ max_line_bytes $ metrics_tcp $ slow_ms $ paranoid $ session_cap
+      $ store_term)
 
 let batch_cmd =
-  let run common file domains queue_cap artifact_cap result_cap no_times
-      engine store =
+  let run common opts file store =
     with_telemetry common @@ fun () ->
-    let engine_pin =
-      match engine with
-      | None -> Ok None
-      | Some name ->
-        Result.map Option.some (Sv.Protocol.engine_choice_of_name name)
-    in
-    match engine_pin with
-    | Error msg ->
-      Fmt.epr "lambekd: --engine: %s@." msg;
-      2
-    | Ok engine_pin -> (
     match open_store store with
     | Error msg ->
       Fmt.epr "lambekd: --store: %s@." msg;
       2
     | Ok store -> (
-    match open_in file with
-    | exception Sys_error msg ->
-      Fmt.epr "lambekd: %s@." msg;
-      1
-    | ic ->
-      let lines = ref [] in
-      (try
-         while true do
-           let l = input_line ic in
-           if String.trim l <> "" then lines := l :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      let registry = Sv.Registry.create ~artifact_cap ~result_cap ?store () in
-      preload_store registry;
-      let times = not no_times in
-      let writer = Ordered_writer.create stdout in
-      let flags = flags_create () in
-      let respond ?trace s r =
-        flags_note flags r;
-        Option.iter Sv.Trace.stamp_written trace;
-        Ordered_writer.write writer s
-          (Sv.Protocol.response_to_json ~times ?trace r)
-      in
-      (* admin lines are answered inline, like the serve loop; batch has
-         no live queue or connections, so no volatile extras either *)
-      let answer_admin s aid op =
-        Ordered_writer.write writer s
-          (match op with
-          | Sv.Protocol.Op_health ->
-            Sv.Protocol.health_response ?id:aid ~draining:false ~extra:[] ()
-          | Sv.Protocol.Op_metrics ->
-            Sv.Protocol.metrics_response ?id:aid ~extra:[] ())
-      in
-      (* decode everything up front on this thread; grammar construction
-         is not domain-safe.  Traced requests get their id ([t<seq>])
-         and received stamp here, at the same point the serve loop
-         assigns them *)
-      let requests =
-        List.mapi
-          (fun s line ->
-            let req = Sv.Protocol.parse_line line in
-            let req =
-              (* force-pin an engine for the whole batch (as if each
-                 request carried "engine":NAME); pin errors surface per
-                 request, same as a wire pin *)
-              match engine_pin with
-              | None -> req
-              | Some e ->
-                Result.map
-                  (function
-                    | Sv.Protocol.Request r ->
-                      Sv.Protocol.Request { r with Sv.Protocol.engine = e }
-                    | l -> l)
-                  req
-            in
-            (match req with
-            | Ok (Sv.Protocol.Request { Sv.Protocol.trace = Some tr; _ })
-            | Ok (Sv.Protocol.Session { Sv.Protocol.sq_trace = Some tr; _ })
-              ->
-              Sv.Trace.set_id tr (Fmt.str "t%d" s);
-              Sv.Trace.stamp_received tr
-            | _ -> ());
-            (s, req))
-          lines
-      in
-      let sessions = Sv.Session.create ~registry () in
-      if domains = Some 0 then
-        (* serial reference mode: same pipeline, no pool — the baseline
-           the differential test and the bench compare against.  The
-           dequeued stamp lands right before [Exec.run], so traced
-           stage-presence lists are identical to a pooled run *)
-        List.iter
-          (fun (s, req) ->
-            match req with
-            | Error msg -> respond s (Sv.Protocol.bad_request msg)
-            | Ok (Sv.Protocol.Admin { aid; op }) -> answer_admin s aid op
-            | Ok (Sv.Protocol.Request req) ->
-              Option.iter Sv.Trace.stamp_dequeued req.Sv.Protocol.trace;
-              respond ?trace:req.Sv.Protocol.trace s
-                (Sv.Exec.run registry req)
-            | Ok (Sv.Protocol.Session sq) ->
-              let routed = Sv.Session.route sessions sq in
-              Option.iter Sv.Trace.stamp_dequeued sq.Sv.Protocol.sq_trace;
-              respond ?trace:sq.Sv.Protocol.sq_trace s
-                (Sv.Session.exec routed))
-          requests
-      else begin
-        let sched = Sv.Scheduler.create ?domains ~queue_cap ~registry () in
-        List.iter
-          (fun (s, req) ->
-            match req with
-            | Error msg -> respond s (Sv.Protocol.bad_request msg)
-            | Ok (Sv.Protocol.Admin { aid; op }) -> answer_admin s aid op
-            | Ok (Sv.Protocol.Request req) ->
-              Sv.Scheduler.submit sched req
-                (respond ?trace:req.Sv.Protocol.trace s)
-            | Ok (Sv.Protocol.Session sq) ->
-              (* routed here, in line order; executed on the pool in
-                 per-session ticket order *)
-              let routed = Sv.Session.route sessions sq in
-              Sv.Scheduler.submit_session sched routed
-                (respond ?trace:sq.Sv.Protocol.sq_trace s))
-          requests;
-        Sv.Scheduler.shutdown sched
-      end;
-      Sv.Session.close_all sessions;
-      flags_exit flags))
+      match Unix.openfile file [ Unix.O_RDONLY ] 0 with
+      | exception Unix.Unix_error (e, _, _) ->
+        Fmt.epr "lambekd: %s: %s@." file (Unix.error_message e);
+        1
+      | fd ->
+        let sched = start_service opts store in
+        Fun.protect
+          ~finally:(fun () ->
+            Sv.Scheduler.shutdown sched;
+            Unix.close fd)
+        @@ fun () ->
+        (* the serve loop over the file: admission waits for queue room
+           instead of shedding, and no line is too long *)
+        status_exit
+          (Sv.Server.serve_lines ~max_line_bytes:max_int ~admission:`Block
+             ~sched ~times:opts.times (Sv.Server.fd_source fd)
+             (Sv.Server.fd_sink Unix.stdout)))
   in
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ndjson")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default: runtime recommendation; 0 runs the \
-             whole batch serially on the calling thread, the reference \
-             the parallel output is byte-compared against).")
-  in
-  let queue_cap =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-cap" ] ~docv:"N" ~doc:"Bound on queued requests.")
-  in
-  let artifact_cap =
-    Arg.(
-      value & opt int 64
-      & info [ "artifact-cache" ] ~docv:"N"
-          ~doc:"Compiled-grammar LRU capacity (0 disables).")
-  in
-  let result_cap =
-    Arg.(
-      value & opt int 4096
-      & info [ "result-cache" ] ~docv:"N"
-          ~doc:"Query-result LRU capacity (0 disables).")
-  in
-  let no_times =
-    Arg.(
-      value & flag
-      & info [ "no-times" ]
-          ~doc:"Omit the $(i,ns) field, making output byte-reproducible.")
-  in
-  let engine =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "engine" ] ~docv:"NAME"
-          ~doc:
-            "Force-pin an engine for every request in the batch (as if \
-             each carried $(i,\"engine\":NAME)): auto, ll1, slr, earley, \
-             cyk or enum.  Requests the pinned engine cannot serve (no \
-             table, over the cyk binarization budget, cyk on a parse \
-             query) answer $(i,bad_request), exactly as a wire pin \
-             would.")
-  in
   Cmd.v
     (Cmd.info "batch" ~exits:service_exits
        ~doc:
-         "Run a file of NDJSON requests through the parse service \
-          pipeline and print one response line per request, in order.")
-    Term.(
-      const run $ common_term $ file $ domains $ queue_cap $ artifact_cap
-      $ result_cap $ no_times $ engine $ store_term)
+         "Run a file of NDJSON requests through the serve loop and print \
+          one response line per request, in order.  Unlike $(b,serve), \
+          a full queue makes the reader wait instead of shedding, and \
+          lines have no length cap.")
+    Term.(const run $ common_term $ service_term $ file $ store_term)
 
 (* Corpus mode: replay every committed .ndjson case through the serial
    reference and diff (or rewrite) its .expected golden. *)

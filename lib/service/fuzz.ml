@@ -2,17 +2,6 @@ module Cfg = Lambekd_cfg.Cfg
 
 let default_max_line_bytes = 8192
 
-let render ?trace r = Protocol.response_to_json ~times:false ?trace r
-
-(* Admin lines are answered by the front end on both sides; normalized
-   rendering carries no volatile snapshot fields, and the reference is
-   never draining, so the bytes are identical by construction. *)
-let render_admin aid op =
-  match op with
-  | Protocol.Op_health ->
-    Protocol.health_response ?id:aid ~draining:false ~extra:[] ()
-  | Protocol.Op_metrics -> Protocol.metrics_response ?id:aid ~extra:[] ()
-
 (* --- stream generation ------------------------------------------------------ *)
 
 let utf8_of_cp b cp =
@@ -314,94 +303,28 @@ let gen_lines ~seed ~requests =
       | n when n < 97 -> session i
       | _ -> pick [ ""; "   "; "\t" ])
 
-(* --- classification and the serial reference -------------------------------- *)
+(* --- replays: the serve loop over a list ------------------------------------- *)
 
-type item =
-  | Blank
-  | Oversized_line
-  | Malformed of string
-  | Admin of { aid : string option; op : Protocol.admin_op }
-  | Request of Protocol.request
-  | Session of Protocol.session_req
-
-let classify ~max_line_bytes line =
-  if String.length line > max_line_bytes then Oversized_line
-  else if String.trim line = "" then Blank
-  else
-    match Protocol.parse_line line with
-    | Error msg -> Malformed msg
-    | Ok (Protocol.Admin { aid; op }) -> Admin { aid; op }
-    | Ok (Protocol.Request r) -> Request r
-    | Ok (Protocol.Session sq) -> Session sq
-
-let direct_response ~max_line_bytes = function
-  | Blank -> None
-  | Oversized_line ->
-    Some (Protocol.bad_request (Server.oversized_message max_line_bytes))
-  | Malformed msg -> Some (Protocol.bad_request msg)
-  | Admin _ | Request _ | Session _ -> None
-
-(* Traced requests: the front end owns the id ([t<slot>], where slots
-   number the non-blank lines) and the received stamp; the serial
-   reference stamps [dequeued] itself right before {!Exec.run} so stage
-   presence matches the scheduler path. *)
-let prep_trace slot (r : Protocol.request) =
-  Option.iter
-    (fun tr ->
-      Trace.set_id tr (Fmt.str "t%d" slot);
-      Trace.stamp_received tr)
-    r.Protocol.trace
-
-let prep_strace slot (sq : Protocol.session_req) =
-  Option.iter
-    (fun tr ->
-      Trace.set_id tr (Fmt.str "t%d" slot);
-      Trace.stamp_received tr)
-    sq.Protocol.sq_trace
-
-(* the serial session path mirrors the scheduler's stage stamps exactly
-   (received at route, dequeued before exec, written after), so traced
-   session ops have identical stage presence on both sides *)
-let run_session_serial tab slot (sq : Protocol.session_req) =
-  prep_strace slot sq;
-  let routed = Session.route tab sq in
-  Option.iter Trace.stamp_dequeued sq.Protocol.sq_trace;
-  let resp = Session.exec routed in
-  Option.iter Trace.stamp_written sq.Protocol.sq_trace;
-  render ?trace:sq.Protocol.sq_trace resp
-
-let run_request_serial reg slot (r : Protocol.request) =
-  prep_trace slot r;
-  Option.iter Trace.stamp_dequeued r.Protocol.trace;
-  let resp = Exec.run reg r in
-  Option.iter Trace.stamp_written r.Protocol.trace;
-  render ?trace:r.Protocol.trace resp
+(* One replay is the front end's own loop over the lines, with blocking
+   admission and timing fields off; [domains = 0] answers every line on
+   this thread, the serial reference. *)
+let replay ?(paranoid = false) ~max_line_bytes ~domains reg lines =
+  let sched = Scheduler.create ~domains ~queue_cap:64 ~registry:reg () in
+  let sessions = Session.create ~paranoid ~registry:reg () in
+  let out = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Scheduler.shutdown sched;
+      Session.close_all sessions)
+    (fun () ->
+      ignore
+        (Server.serve_lines ~max_line_bytes ~sessions ~admission:`Block
+           ~sched ~times:false (Server.list_source lines) (fun l ->
+             out := l :: !out)));
+  List.rev !out
 
 let reference ?(max_line_bytes = default_max_line_bytes) reg lines =
-  let tab = Session.create ~registry:reg () in
-  let slot = ref 0 in
-  List.filter_map
-    (fun line ->
-      let item = classify ~max_line_bytes line in
-      match direct_response ~max_line_bytes item with
-      | Some r ->
-        incr slot;
-        Some (render r)
-      | None -> (
-        match item with
-        | Admin { aid; op } ->
-          incr slot;
-          Some (render_admin aid op)
-        | Request r ->
-          let s = !slot in
-          incr slot;
-          Some (run_request_serial reg s r)
-        | Session sq ->
-          let s = !slot in
-          incr slot;
-          Some (run_session_serial tab s sq)
-        | _ -> None))
-    lines
+  replay ~max_line_bytes ~domains:0 reg lines
 
 (* --- the differential -------------------------------------------------------- *)
 
@@ -411,144 +334,63 @@ type report = {
   schedule : string option;
 }
 
-let warm reg items =
-  List.iter
-    (function
-      | Request r -> ignore (Registry.get reg r.Protocol.cfg)
-      | Session { Protocol.sq_op = Protocol.S_open { cfg; _ }; _ } ->
-        ignore (Registry.get reg cfg)
-      | Blank | Oversized_line | Malformed _ | Admin _ | Session _ -> ())
-    items
-
-(* Traces are mutable and the item list is shared by both replays: give
-   each replay fresh ones, so stamps from one side can never leak into
-   (and mask a divergence in) the other side's stage-presence list. *)
-let reset_traces items =
-  List.map
-    (function
-      | Request ({ Protocol.trace = Some _; _ } as r) ->
-        Request { r with Protocol.trace = Some (Trace.create ()) }
-      | Session ({ Protocol.sq_trace = Some _; _ } as sq) ->
-        Session { sq with Protocol.sq_trace = Some (Trace.create ()) }
-      | item -> item)
-    items
-
-(* Both registries are pre-warmed over every grammar in the stream so
+(* Every grammar the stream names, so both registries can be warmed and
    artifact hit/miss fields do not depend on which side compiled a
-   grammar first; result caching is off so repeated identical requests
-   do not depend on execution order either. *)
-let fresh_registry () = Registry.create ~artifact_cap:2048 ~result_cap:0 ()
-
-let run_serial ~max_line_bytes items =
-  let items = reset_traces items in
-  let reg = fresh_registry () in
-  warm reg items;
-  (* the serial side runs its sessions paranoid: every incremental
-     answer is cross-checked against a from-scratch parse, so a
-     chart-reuse bug surfaces as a serial-vs-service divergence even
-     when both replays would have computed the same wrong answer *)
-  let tab = Session.create ~paranoid:true ~registry:reg () in
-  let slot = ref 0 in
+   grammar first. *)
+let grammars ~max_line_bytes lines =
   List.filter_map
-    (fun item ->
-      match direct_response ~max_line_bytes item with
-      | Some r ->
-        incr slot;
-        Some (render r)
-      | None -> (
-        match item with
-        | Admin { aid; op } ->
-          incr slot;
-          Some (render_admin aid op)
-        | Request r ->
-          let s = !slot in
-          incr slot;
-          Some (run_request_serial reg s r)
-        | Session sq ->
-          let s = !slot in
-          incr slot;
-          Some (run_session_serial tab s sq)
-        | _ -> None))
-    items
+    (fun l ->
+      if String.length l > max_line_bytes then None
+      else
+        match Protocol.parse_line l with
+        | Ok (Protocol.Request r) -> Some r.Protocol.cfg
+        | Ok
+            (Protocol.Session
+              { Protocol.sq_op = Protocol.S_open { cfg; _ }; _ }) ->
+          Some cfg
+        | Ok (Protocol.Admin _ | Protocol.Session _) | Error _ -> None)
+    lines
 
-let run_service ~domains ~max_line_bytes ~schedule ~store items =
-  let items = reset_traces items in
-  let reg =
-    match store with
-    | None -> fresh_registry ()
-    | Some st ->
-      (* store-armed replay: a scratch registry compiles every grammar
-         in the stream into the store first, so the replay registry's
-         warm pass below serves each artifact from disk — the whole
-         round then runs over store-loaded artifacts, and any byte the
-         store changed in them shows up as a divergence from the
-         storeless serial reference *)
-      let scratch =
-        Registry.create ~artifact_cap:2048 ~result_cap:0 ~store:st ()
-      in
-      warm scratch items;
-      Registry.create ~artifact_cap:2048 ~result_cap:0 ~store:st ()
+let warm reg cfgs = List.iter (fun c -> ignore (Registry.get reg c)) cfgs
+
+(* result caching is off so repeated identical requests do not depend
+   on execution order *)
+let fresh_registry ?store () =
+  Registry.create ~artifact_cap:2048 ~result_cap:0 ?store ()
+
+let internal_error = {|"error":"bad_request","message":"internal error: |}
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let compare_replays ~serial ~service =
+  let rec go i a b =
+    match (a, b) with
+    | [], [] -> Ok i
+    | x :: xs, y :: ys ->
+      if not (String.equal x y) then
+        Error
+          (Fmt.str "response %d differs\n  serial:  %s\n  service: %s" i x y)
+      else if contains x internal_error then
+        (* both sides agree, but an engine raised: a crash is a failure
+           even when it is reproducible *)
+        Error (Fmt.str "response %d is an internal error\n  %s" i x)
+      else go (i + 1) xs ys
+    | _ ->
+      Error
+        (Fmt.str "response count differs: serial %d, service %d"
+           (List.length serial) (List.length service))
   in
-  warm reg items;
-  let n_resp =
-    List.fold_left
-      (fun k item -> match item with Blank -> k | _ -> k + 1)
-      0 items
-  in
-  let out = Array.make n_resp None in
-  (match schedule with Some (cfg, _) -> Fault.install cfg | None -> ());
-  Fun.protect ~finally:Fault.clear @@ fun () ->
-  let sched = Scheduler.create ~domains ~queue_cap:64 ~registry:reg () in
-  let tab = Session.create ~registry:reg () in
-  let slot = ref 0 in
-  List.iter
-    (fun item ->
-      match direct_response ~max_line_bytes item with
-      | Some r ->
-        let s = !slot in
-        incr slot;
-        out.(s) <- Some (render r)
-      | None -> (
-        match item with
-        | Blank -> ()
-        | Admin { aid; op } ->
-          (* the serve loop answers admin ops inline, off-queue *)
-          let s = !slot in
-          incr slot;
-          out.(s) <- Some (render_admin aid op)
-        | Request r ->
-          let s = !slot in
-          incr slot;
-          prep_trace s r;
-          Scheduler.submit sched r (fun resp ->
-              Option.iter Trace.stamp_written r.Protocol.trace;
-              out.(s) <- Some (render ?trace:r.Protocol.trace resp))
-        | Session sq ->
-          (* routed HERE, in line order on this thread — ids, evictions
-             and close-unbinding are fixed before the op is queued *)
-          let s = !slot in
-          incr slot;
-          prep_strace s sq;
-          let routed = Session.route tab sq in
-          Scheduler.submit_session sched routed (fun resp ->
-              Option.iter Trace.stamp_written sq.Protocol.sq_trace;
-              out.(s) <- Some (render ?trace:sq.Protocol.sq_trace resp))
-        | Oversized_line | Malformed _ -> assert false))
-    items;
-  Scheduler.shutdown sched;
-  Array.to_list
-    (Array.map
-       (function
-         | Some l -> l
-         | None -> "<missing response>")
-       out)
+  go 0 serial service
 
 let differential ?(domains = 4) ?(max_line_bytes = default_max_line_bytes)
     ?schedule ?store ~seed ~requests () =
   let domains = max 1 domains in
   Fault.clear ();
   let lines = gen_lines ~seed ~requests in
-  let items = List.map (classify ~max_line_bytes) lines in
+  let cfgs = grammars ~max_line_bytes lines in
   let guard side f =
     match f () with
     | v -> Ok v
@@ -557,27 +399,33 @@ let differential ?(domains = 4) ?(max_line_bytes = default_max_line_bytes)
       Error (Fmt.str "%s replay crashed: %s" side (Printexc.to_string exn))
   in
   let ( let* ) = Result.bind in
-  let* serial = guard "serial" (fun () -> run_serial ~max_line_bytes items) in
+  (* the serial side runs its sessions paranoid: every incremental
+     answer is cross-checked against a from-scratch parse, so a
+     chart-reuse bug surfaces as a serial-vs-service divergence even
+     when both replays would have computed the same wrong answer *)
+  let* serial =
+    guard "serial" (fun () ->
+        let reg = fresh_registry () in
+        warm reg cfgs;
+        replay ~paranoid:true ~max_line_bytes ~domains:0 reg lines)
+  in
   let* service =
     guard "service" (fun () ->
-        run_service ~domains ~max_line_bytes ~schedule ~store items)
+        (* store-armed replay: a scratch registry compiles every grammar
+           in the stream into the store first, so the replay registry's
+           warm pass serves each artifact from disk — the whole round
+           then runs over store-loaded artifacts, and any byte the store
+           changed in them shows up as a divergence from the storeless
+           serial reference *)
+        Option.iter (fun st -> warm (fresh_registry ~store:st ()) cfgs) store;
+        let reg = fresh_registry ?store () in
+        warm reg cfgs;
+        (match schedule with Some (cfg, _) -> Fault.install cfg | None -> ());
+        Fun.protect ~finally:Fault.clear @@ fun () ->
+        replay ~max_line_bytes ~domains reg lines)
   in
-  let rec compare i a b =
-    match (a, b) with
-    | [], [] ->
-      Ok
-        { lines = List.length lines;
-          responses = List.length serial;
-          schedule = Option.map snd schedule }
-    | x :: xs, y :: ys ->
-      if String.equal x y then compare (i + 1) xs ys
-      else
-        Error
-          (Fmt.str
-             "response %d differs\n  serial:  %s\n  service: %s" i x y)
-    | _ ->
-      Error
-        (Fmt.str "response count differs: serial %d, service %d"
-           (List.length serial) (List.length service))
-  in
-  compare 0 serial service
+  let* responses = compare_replays ~serial ~service in
+  Ok
+    { lines = List.length lines;
+      responses;
+      schedule = Option.map snd schedule }

@@ -3,20 +3,22 @@
     [lambekd fuzz] drives this module: generate a reproducible NDJSON
     request stream mixing valid traffic with hostile input — malformed
     JSON, truncated lines, oversized lines, unknown grammar names,
-    astral-plane strings and lone surrogates — then replay it twice:
+    astral-plane strings and lone surrogates — then replay it twice.
+    Both replays run the serve loop itself ({!Server.serve_lines},
+    blocking admission, timing fields off) over the lines as a list:
 
-    - the {b serial reference}: every line handled on one thread by a
-      direct {!Exec.run} against a warm registry (exactly what
-      [lambekd batch --domains 0] does), with the fault plane
-      disarmed;
-    - the {b service replay}: the same lines through the multi-domain
-      {!Scheduler} against its own warm registry, optionally under a
-      {!Fault} schedule.
+    - the {b serial reference}: a 0-domain {!Scheduler}, so every line
+      is answered on the calling thread (exactly what
+      [lambekd batch --domains 0] does), against a warm registry, with
+      the fault plane disarmed;
+    - the {b service replay}: a multi-domain {!Scheduler} against its
+      own warm registry, optionally under a {!Fault} schedule.
 
-    The two outputs must be byte-identical (timing fields off): faults
-    may only delay, reorder internally, or force degraded paths —
-    never change a response.  Any divergence or crash is reported with
-    the first differing line.
+    The two outputs must be byte-identical: faults may only delay,
+    reorder internally, or force degraded paths — never change a
+    response.  A divergence is reported with the first differing line;
+    an [internal error] response (an engine raised) on either side
+    fails the round even when both sides agree.
 
     Streams are deterministic functions of the seed, so a failing
     [(seed, requests, schedule)] triple is a complete reproducer. *)
@@ -29,30 +31,11 @@ val gen_lines : seed:int -> requests:int -> string list
 (** The seeded stream: [requests] lines (some deliberately blank —
     blank lines get no response, like the serve loop). *)
 
-(** How one line is handled, decided before any execution — shared by
-    the serial reference and the service replay so both sides classify
-    identically. *)
-type item =
-  | Blank
-  | Oversized_line
-  | Malformed of string  (** decode error *)
-  | Admin of { aid : string option; op : Protocol.admin_op }
-      (** answered inline by the front end on both sides; normalized
-          admin responses carry no volatile fields, so the bytes are
-          identical by construction *)
-  | Request of Protocol.request
-  | Session of Protocol.session_req
-      (** routed through a per-replay {!Session.t} table on the
-          submitting thread in line order; the serial side runs its
-          table [paranoid], so every incremental answer is also checked
-          against a from-scratch oracle parse *)
-
-val classify : max_line_bytes:int -> string -> item
-
 val reference :
   ?max_line_bytes:int -> Registry.t -> string list -> string list
-(** The serial reference rendering (timing fields off): one response
-    line per non-blank input line, in order.  Also the oracle the
+(** The serial reference rendering (timing fields off): the serve loop
+    over [lines] on a 0-domain scheduler — one response line per
+    non-blank input line, in order.  Also the oracle the
     committed corpus goldens under [test/data/fuzz/] are generated
     from and checked against. *)
 
@@ -61,6 +44,13 @@ type report = {
   responses : int;  (** response lines each side produced *)
   schedule : string option;  (** fault schedule in force, if any *)
 }
+
+val compare_replays :
+  serial:string list -> service:string list -> (int, string) result
+(** The differential's verdict on two renderings: [Ok n] (the response
+    count) when they are identical line for line and no line is an
+    [internal error] [bad_request]; otherwise [Error] naming the first
+    differing line, the count mismatch, or the internal error. *)
 
 val differential :
   ?domains:int ->
@@ -78,5 +68,5 @@ val differential :
     persistent store pre-populated over every grammar in the stream, so
     the replay runs entirely over store-loaded artifacts — proving the
     store invisible against the storeless serial reference.  [Error]
-    carries the first mismatch (with both lines) or the exception that
+    carries the {!compare_replays} failure or the exception that
     crashed a side. *)

@@ -55,11 +55,6 @@ type engine_choice = Auto | Ll1 | Slr | Earley | Cyk | Enum
 
 val engine_choice_name : engine_choice -> string
 
-val engine_choice_of_name : string -> (engine_choice, string) result
-(** Inverse of {!engine_choice_name} — the same decoder the wire
-    ["engine"] field goes through, exposed for CLI flags that pin an
-    engine for a whole run. *)
-
 type request = {
   id : string option;
   cfg : Lambekd_cfg.Cfg.t;

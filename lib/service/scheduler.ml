@@ -157,58 +157,52 @@ let create ?domains ?(queue_cap = 64) ~registry () =
   t.workers <- List.init ndomains (fun _ -> Domain.spawn (worker t));
   t
 
-let try_submit_job t job =
-  Mutex.protect t.mu (fun () ->
-      if t.stopping then invalid_arg "Scheduler: submit after shutdown";
-      let len = Queue.length t.queue in
-      if len >= t.cap then begin
-        Probe.bump c_shed;
-        (* crude service-time hint: a full queue spread over the pool *)
-        Error (max 1 (len / max 1 t.ndomains))
-      end
-      else begin
-        Probe.bump c_enqueued;
-        (* dually, workers sleep only on an empty queue *)
-        if len = 0 then Condition.signal t.not_empty;
-        Queue.push job t.queue;
-        Ok ()
-      end)
-
-let try_submit t req k = try_submit_job t (job_of req k)
-let try_submit_session t routed k = try_submit_job t (session_job_of routed k)
-
-let submit_job t job =
+(* One admission path for both modes.  [block] waits for queue space
+   where a shedding caller gets [Error retry_after_ms].  With no workers
+   there is nothing to queue for: the job runs here, on the submitting
+   thread, through the same [run_job] a worker would use — deadline
+   fixed at submission, queue-expiry check, exceptions answered as
+   [internal error] — and is answered before this returns. *)
+let enqueue ~block t job =
   Mutex.lock t.mu;
-  while Queue.length t.queue >= t.cap && not t.stopping do
-    Condition.wait t.not_full t.mu
-  done;
+  if block then
+    while Queue.length t.queue >= t.cap && not t.stopping do
+      Condition.wait t.not_full t.mu
+    done;
   if t.stopping then begin
     Mutex.unlock t.mu;
     invalid_arg "Scheduler: submit after shutdown"
   end;
-  Probe.bump c_enqueued;
-  if Queue.is_empty t.queue then Condition.signal t.not_empty;
-  Queue.push job t.queue;
-  Mutex.unlock t.mu
+  let len = Queue.length t.queue in
+  if len >= t.cap then begin
+    Mutex.unlock t.mu;
+    Probe.bump c_shed;
+    (* crude service-time hint: a full queue spread over the pool *)
+    Error (max 1 (len / max 1 t.ndomains))
+  end
+  else begin
+    Probe.bump c_enqueued;
+    if t.ndomains = 0 then begin
+      Mutex.unlock t.mu;
+      run_job t job
+    end
+    else begin
+      (* dually, workers sleep only on an empty queue *)
+      if len = 0 then Condition.signal t.not_empty;
+      Queue.push job t.queue;
+      Mutex.unlock t.mu
+    end;
+    Ok ()
+  end
 
-let submit t req k = submit_job t (job_of req k)
-let submit_session t routed k = submit_job t (session_job_of routed k)
+let try_submit t req k = enqueue ~block:false t (job_of req k)
+let try_submit_session t routed k =
+  enqueue ~block:false t (session_job_of routed k)
 
-let drain_one t =
-  let job =
-    Mutex.protect t.mu (fun () ->
-        if Queue.is_empty t.queue then None
-        else begin
-          let j = Queue.pop t.queue in
-          Condition.signal t.not_full;
-          Some j
-        end)
-  in
-  match job with
-  | Some j ->
-    run_job t j;
-    true
-  | None -> false
+(* a blocking enqueue never sheds: it returns only once there is room *)
+let submit t req k = ignore (enqueue ~block:true t (job_of req k))
+let submit_session t routed k =
+  ignore (enqueue ~block:true t (session_job_of routed k))
 
 let shutdown t =
   let workers =

@@ -10,12 +10,16 @@
     caller turns that into an [overloaded] response with a retry hint.
 
     Callbacks run on worker domains.  They must be domain-safe (the
-    front ends funnel them through a mutex-guarded writer) and should be
-    quick — a slow callback stalls its worker.
+    front end funnels them through a mutex-guarded ordered writer) and
+    should be quick — a slow callback stalls its worker.
 
-    [domains = 0] is a valid degenerate pool for deterministic tests:
-    nothing drains the queue until {!drain_one} is called from the
-    controlling thread. *)
+    [domains = 0] runs on the caller: there are no workers and no
+    queue, and every submitted job executes on the submitting thread,
+    through the same path a worker takes (deadline fixed at submission,
+    queue-expiry check, an exception answered as an [internal error]
+    [bad_request]).  Its callback has run before [submit]/[try_submit]
+    returns.  This is the serial reference [lambekd batch --domains 0]
+    and {!Fuzz} compare against. *)
 
 type t
 
@@ -23,7 +27,8 @@ val create :
   ?domains:int -> ?queue_cap:int -> registry:Registry.t -> unit -> t
 (** Start the pool.  Defaults: [domains] =
     [max 1 (Domain.recommended_domain_count () - 1)], [queue_cap] = 64.
-    [domains = 0] starts no workers. *)
+    [domains = 0] starts no workers: jobs run on the submitting
+    thread.  Raises [Invalid_argument] on a negative [domains]. *)
 
 val domains : t -> int
 val registry : t -> Registry.t
@@ -35,12 +40,12 @@ val depth : t -> int
 val try_submit :
   t -> Protocol.request -> (Protocol.response -> unit) -> (unit, int) result
 (** Enqueue, or shed: [Error retry_after_ms] when the queue is full (the
-    hint scales with queue depth).  Raises [Invalid_argument] after
-    {!shutdown}. *)
+    hint scales with queue depth).  With [domains = 0], run the job now
+    and return [Ok ()].  Raises [Invalid_argument] after {!shutdown}. *)
 
 val submit : t -> Protocol.request -> (Protocol.response -> unit) -> unit
 (** Blocking enqueue — waits for queue space instead of shedding.  The
-    batch front end uses this; the serve loop uses {!try_submit}. *)
+    serve loop uses {!try_submit}; batch and the fuzz replays use this. *)
 
 val try_submit_session :
   t -> Session.routed -> (Protocol.response -> unit) -> (unit, int) result
@@ -54,10 +59,6 @@ val try_submit_session :
 val submit_session :
   t -> Session.routed -> (Protocol.response -> unit) -> unit
 (** Blocking enqueue of a routed session op. *)
-
-val drain_one : t -> bool
-(** Pop and execute one request on the calling thread; [false] if the
-    queue was empty.  For [domains = 0] tests. *)
 
 val shutdown : t -> unit
 (** Stop accepting work, wait for the queue to drain and all in-flight

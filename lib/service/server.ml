@@ -99,8 +99,27 @@ let read_line r ~max_bytes =
   in
   go ()
 
-let oversized_message max_bytes =
-  Fmt.str "line exceeds %d-byte limit" max_bytes
+(* --- line sources ----------------------------------------------------------- *)
+
+type source = max_bytes:int -> line
+
+let fd_source fd =
+  let r = reader fd in
+  fun ~max_bytes -> read_line r ~max_bytes
+
+(* the same cap as [read_line]: a line longer than [max_bytes] is
+   [Oversized], so a replayed list and a piped file answer alike *)
+let list_source lines =
+  let rest = ref lines in
+  fun ~max_bytes ->
+    match !rest with
+    | [] -> Eof
+    | l :: tl ->
+      rest := tl;
+      let n = String.length l in
+      if n > max_bytes then Oversized n else Line l
+
+let fd_sink fd line = write_all fd (line ^ "\n")
 
 (* --- ordered, crash-safe stream output ------------------------------------- *)
 
@@ -114,16 +133,16 @@ type stream = {
   pending : (int, string) Hashtbl.t;
   mutable next : int;
   mutable dead : bool;
-  fd_out : Unix.file_descr;
+  write : string -> unit;  (** called under [mu], in sequence order *)
 }
 
-let stream fd_out =
+let stream write =
   { mu = Mutex.create ();
     flushed = Condition.create ();
     pending = Hashtbl.create 16;
     next = 0;
     dead = false;
-    fd_out }
+    write }
 
 let stream_emit st seq line =
   Mutex.protect st.mu (fun () ->
@@ -134,7 +153,7 @@ let stream_emit st seq line =
         | Some l ->
           Hashtbl.remove st.pending st.next;
           if not st.dead then begin
-            match write_all st.fd_out (l ^ "\n") with
+            match st.write l with
             | () -> ()
             | exception (Unix.Unix_error _ | Sys_error _) ->
               Probe.bump c_write_errors;
@@ -184,9 +203,9 @@ let metrics_extra () =
     ("gauges", Json.Obj gauges);
     ("histograms", Json.Obj hists) ]
 
-let serve_stream ?(max_line_bytes = default_max_line_bytes) ?slow
-    ?(draining = fun () -> false) ?(live = fun () -> 0) ?sessions ~sched
-    ~times fd_in fd_out : status =
+let serve_lines ?(max_line_bytes = default_max_line_bytes) ?slow
+    ?(draining = fun () -> false) ?(live = fun () -> 0) ?sessions ~admission
+    ~sched ~times (next_line : source) write : status =
   (* session lines need a table; a caller that passes none gets a
      stream-private one (closed with the stream), callers that share one
      across connections own its lifecycle *)
@@ -195,7 +214,14 @@ let serve_stream ?(max_line_bytes = default_max_line_bytes) ?slow
     | Some tab -> (false, tab)
     | None -> (true, Session.create ~registry:(Scheduler.registry sched) ())
   in
-  let st = stream fd_out in
+  let submit, submit_session =
+    match admission with
+    | `Shed -> (Scheduler.try_submit sched, Scheduler.try_submit_session sched)
+    | `Block ->
+      ( (fun req k -> Ok (Scheduler.submit sched req k)),
+        fun routed k -> Ok (Scheduler.submit_session sched routed k) )
+  in
+  let st = stream write in
   let malformed = Atomic.make false in
   let timed_out = Atomic.make false in
   (* [tr = Some (trace, echo)]: the request carries a trace — stamp
@@ -225,7 +251,22 @@ let serve_stream ?(max_line_bytes = default_max_line_bytes) ?slow
     in
     stream_emit st seq line
   in
-  let rdr = reader fd_in in
+  (* the front end owns a traced line's id ([t<seq>]) and received
+     stamp; with a slow log, untraced lines get an internal trace *)
+  let trace_of s trace =
+    let tr =
+      match trace with
+      | Some t -> Some (t, true)
+      | None -> if slow <> None then Some (Trace.create (), false) else None
+    in
+    Option.iter
+      (fun (t, _) ->
+        Trace.set_id t (Fmt.str "t%d" s);
+        Trace.stamp_received t)
+      tr;
+    tr
+  in
+  let internal = function Some (t, false) -> Some t | _ -> None in
   let seq = ref 0 in
   let next_seq () =
     let s = !seq in
@@ -255,71 +296,52 @@ let serve_stream ?(max_line_bytes = default_max_line_bytes) ?slow
        reading instead of burning the pool on a vanished client *)
     if stream_dead st then ()
     else
-      match read_line rdr ~max_bytes:max_line_bytes with
+      match next_line ~max_bytes:max_line_bytes with
       | Eof -> ()
       | Oversized _ ->
         Probe.bump c_oversized;
         respond (next_seq ())
-          (Protocol.bad_request (oversized_message max_line_bytes));
+          (Protocol.bad_request
+             (Fmt.str "line exceeds %d-byte limit" max_line_bytes));
         loop ()
       | Line l ->
         if String.trim l <> "" then begin
           let s = next_seq () in
-          (match Protocol.parse_line l with
+          match Protocol.parse_line l with
           | Error msg -> respond s (Protocol.bad_request msg)
           | Ok (Protocol.Admin { aid; op }) ->
             (* admin ops are answered here, never queued: health and
                metrics keep working when the scheduler queue is full *)
             answer_admin s aid op
           | Ok (Protocol.Request req) -> (
-            let tr =
-              match req.Protocol.trace with
-              | Some t -> Some (t, true)
-              | None ->
-                if slow <> None then Some (Trace.create (), false) else None
-            in
+            let tr = trace_of s req.Protocol.trace in
             let req =
-              match (tr, req.Protocol.trace) with
-              | Some (t, _), None -> { req with Protocol.trace = Some t }
-              | _ -> req
+              match internal tr with
+              | Some t -> { req with Protocol.trace = Some t }
+              | None -> req
             in
-            Option.iter
-              (fun (t, _) ->
-                Trace.set_id t (Fmt.str "t%d" s);
-                Trace.stamp_received t)
-              tr;
-            match Scheduler.try_submit sched req (respond ?tr s) with
+            match submit req (respond ?tr s) with
             | Ok () -> ()
             | Error retry_after_ms ->
               respond ?tr s
                 (Protocol.overloaded ?id:req.Protocol.id ~retry_after_ms ()))
           | Ok (Protocol.Session sq) -> (
-            let tr =
-              match sq.Protocol.sq_trace with
-              | Some t -> Some (t, true)
-              | None ->
-                if slow <> None then Some (Trace.create (), false) else None
-            in
+            let tr = trace_of s sq.Protocol.sq_trace in
             let sq =
-              match (tr, sq.Protocol.sq_trace) with
-              | Some (t, _), None -> { sq with Protocol.sq_trace = Some t }
-              | _ -> sq
+              match internal tr with
+              | Some t -> { sq with Protocol.sq_trace = Some t }
+              | None -> sq
             in
-            Option.iter
-              (fun (t, _) ->
-                Trace.set_id t (Fmt.str "t%d" s);
-                Trace.stamp_received t)
-              tr;
             (* routing happens HERE, on the reading thread in line order:
                session ids, evictions and close-unbinding are decided
                before the op is queued (see {!Session.route}) *)
             let routed = Session.route stab sq in
-            match Scheduler.try_submit_session sched routed (respond ?tr s) with
+            match submit_session routed (respond ?tr s) with
             | Ok () -> ()
             | Error retry_after_ms ->
               Session.cancel routed;
               respond ?tr s
-                (Protocol.overloaded ?id:sq.Protocol.sq_id ~retry_after_ms ())))
+                (Protocol.overloaded ?id:sq.Protocol.sq_id ~retry_after_ms ()))
         end;
         loop ()
   in
@@ -338,6 +360,11 @@ let serve_stream ?(max_line_bytes = default_max_line_bytes) ?slow
   if Atomic.get malformed then `Malformed
   else if Atomic.get timed_out then `Timed_out
   else `Clean
+
+let serve_stream ?max_line_bytes ?slow ?draining ?live ?sessions ~sched ~times
+    fd_in fd_out =
+  serve_lines ?max_line_bytes ?slow ?draining ?live ?sessions ~admission:`Shed
+    ~sched ~times (fd_source fd_in) (fd_sink fd_out)
 
 (* --- the TCP front end ------------------------------------------------------ *)
 

@@ -1,17 +1,31 @@
-(** The crash-safe NDJSON serving front end.
+(** The crash-safe NDJSON serving front end — the one loop that turns
+    request lines into ordered response lines.
 
-    [lambekd serve] used to be correct only on the happy path: one
-    connection at a time, unbounded [input_line] buffering, and a
-    [SIGPIPE] away from death.  This module is the hardened core both
-    stdio and TCP modes run on:
+    {!serve_lines} reads and decodes lines on the calling thread,
+    assigns trace ids, routes session ops, submits work to a
+    {!Scheduler}, answers admin ops inline, and emits responses in
+    request order (an internal ordered writer re-sequences worker
+    completions), so output is byte-identical however many domains
+    raced.  Every front end runs it:
+
+    - [lambekd serve] over stdin/stdout or a TCP connection
+      ({!serve_stream}, shedding when the queue is full);
+    - [lambekd batch] over a request file and stdout (blocking
+      admission, no line cap);
+    - the {!Fuzz} replays and corpus goldens over a string list
+      (blocking admission), against a 0-domain scheduler for the
+      serial reference.
+
+    What makes it safe to expose:
 
     - {b bounded reads}: lines are read through {!read_line} with a
       byte cap; an oversized line is consumed (not buffered) and
       answered with a [bad_request] response instead of growing the
       heap without limit;
-    - {b crash-safe writes}: all output goes through [Unix.write] with
-      [EPIPE]/reset errors confined to the connection that suffered
-      them (the process must ignore [SIGPIPE]; the front ends do);
+    - {b crash-safe writes}: a write that raises [Unix_error] or
+      [Sys_error] (a vanished peer: [EPIPE], reset — the process must
+      ignore [SIGPIPE]; the serving front ends do) marks the stream
+      dead; reading stops and later responses are dropped;
     - {b exactly-once teardown}: a connection's descriptor is closed
       once, after its stream is flushed — no double closes racing
       descriptor reuse, no leaked descriptors across connection churn;
@@ -22,12 +36,7 @@
     - {b graceful drain}: {!stop} (wired to [SIGINT]/[SIGTERM] by the
       CLI) stops the accept loop, half-closes the read side of every
       live connection so its stream sees EOF, waits for all in-flight
-      responses to flush, and returns — the CLI then exits 0.
-
-    Responses on a stream are emitted in request order (an internal
-    ordered writer re-sequences worker completions), so output is
-    byte-identical however many domains raced — the same invariant the
-    batch pipeline and [lambekd fuzz] enforce. *)
+      responses to flush, and returns — the CLI then exits 0. *)
 
 val default_max_line_bytes : int
 (** 1 MiB. *)
@@ -51,9 +60,19 @@ val read_line : reader -> max_bytes:int -> line
     unterminated chunk are treated like [input_line] would: the chunk
     is a line, the error is EOF. *)
 
-val oversized_message : int -> string
-(** The [bad_request] message for a line over the cap — shared with
-    the fuzz reference so both render identical bytes. *)
+type source = max_bytes:int -> line
+(** Where the loop's lines come from: the next line under a byte cap. *)
+
+val fd_source : Unix.file_descr -> source
+(** {!read_line} over a fresh {!reader}. *)
+
+val list_source : string list -> source
+(** The lines of a list, in order; a line longer than the cap is
+    [Oversized], exactly as {!read_line} would report it. *)
+
+val fd_sink : Unix.file_descr -> string -> unit
+(** Write one response line and its newline to a descriptor; raises
+    [Unix_error] when the peer is gone. *)
 
 (** {1 Stream serving} *)
 
@@ -72,6 +91,47 @@ type slow_log = {
     (an internal one when the client didn't ask — never echoed on the
     wire) and requests over the threshold emit a structured line. *)
 
+val serve_lines :
+  ?max_line_bytes:int ->
+  ?slow:slow_log ->
+  ?draining:(unit -> bool) ->
+  ?live:(unit -> int) ->
+  ?sessions:Session.t ->
+  admission:[ `Shed | `Block ] ->
+  sched:Scheduler.t ->
+  times:bool ->
+  source ->
+  (string -> unit) ->
+  status
+(** Serve one NDJSON stream: read and decode on the calling thread,
+    execute on the scheduler, hand each response line (without its
+    newline) to the sink in request order.  The sink is called under
+    the stream lock, one line at a time; if it raises [Unix_error] or
+    [Sys_error] the stream is dead and reading stops.  Returns when
+    the input is exhausted and every in-flight response was written
+    (or dropped).  Blank lines get no response; a line over
+    [max_line_bytes] (default {!default_max_line_bytes}) gets a
+    [bad_request].
+
+    [admission] is fixed by the front end: [`Shed] answers
+    [overloaded] when the scheduler queue is full (serve), [`Block]
+    waits for room (batch, fuzz).  With a 0-domain scheduler every
+    request is answered on this thread before the next line is read.
+
+    Admin lines ([{"op":"health"}], [{"op":"metrics"}]) are answered
+    inline without touching the scheduler queue — [draining] and [live]
+    supply the health status and connection count (defaults: never
+    draining, zero connections; the TCP front end wires the real ones).
+    Requests carrying ["trace":true] get a trace id [t<seq>] assigned
+    here ([seq] numbers the non-blank lines from 0) and echo a
+    ["trace"] object on their response.
+
+    Session lines are routed (in line order, on this thread) through
+    [sessions] and executed on the scheduler like requests; when no
+    table is passed, the stream gets a private one whose sessions die
+    with the stream.  Pass a shared table to let sessions span
+    connections (the TCP front end does). *)
+
 val serve_stream :
   ?max_line_bytes:int ->
   ?slow:slow_log ->
@@ -83,24 +143,9 @@ val serve_stream :
   Unix.file_descr ->
   Unix.file_descr ->
   status
-(** Serve one NDJSON stream: read and decode on the calling thread,
-    execute on the scheduler pool, emit responses in request order.
-    Returns when the input is exhausted and every in-flight response
-    has been written (or dropped, if the peer vanished).  Never raises
-    on peer-caused I/O errors; does not close either descriptor.
-
-    Admin lines ([{"op":"health"}], [{"op":"metrics"}]) are answered
-    inline without touching the scheduler queue — [draining] and [live]
-    supply the health status and connection count (defaults: never
-    draining, zero connections; the TCP front end wires the real ones).
-    Requests carrying ["trace":true] get a trace id [t<seq>] assigned
-    here and echo a ["trace"] object on their response.
-
-    Session lines are routed (in line order, on this thread) through
-    [sessions] and executed on the scheduler pool like requests; when
-    no table is passed, the stream gets a private one whose sessions
-    die with the stream.  Pass a shared table to let sessions span
-    connections (the TCP front end does). *)
+(** {!serve_lines} with [`Shed] admission over a descriptor pair.
+    Never raises on peer-caused I/O errors; does not close either
+    descriptor. *)
 
 (** {1 The TCP front end} *)
 

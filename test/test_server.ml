@@ -18,6 +18,11 @@ let check_string = Alcotest.(check string)
    code, not a process death *)
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let write_all fd s =
   let n = String.length s in
   let off = ref 0 in
@@ -155,6 +160,82 @@ let test_serve_stream_peer_vanishes () =
     Alcotest.failf "serve_stream raised on dead peer: %s" (Printexc.to_string e));
   Unix.close out_w;
   Unix.close in_r
+
+(* Blocking admission never sheds: a 2-domain pool behind a one-slot
+   queue answers every line, in order. *)
+let test_serve_lines_blocking () =
+  let reg = Registry.create () in
+  let sched = Scheduler.create ~domains:2 ~queue_cap:1 ~registry:reg () in
+  Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) @@ fun () ->
+  let n = 200 in
+  let lines =
+    List.init n (fun i ->
+        Fmt.str {|{"id":"b%d","grammar":"dyck","input":"%s"}|} i
+          (String.concat "" (List.init (i mod 7) (fun _ -> "()"))))
+  in
+  let out = ref [] in
+  let status =
+    Server.serve_lines ~admission:`Block ~sched ~times:false
+      (Server.list_source lines) (fun l -> out := l :: !out)
+  in
+  let out = List.rev !out in
+  check_bool "clean" true (status = `Clean);
+  check_int "every line answered" n (List.length out);
+  List.iteri
+    (fun i l ->
+      let prefix = Fmt.str {|{"id":"b%d",|} i in
+      check_bool (Fmt.str "response %d in order" i) true
+        (String.length l >= String.length prefix
+        && String.sub l 0 (String.length prefix) = prefix);
+      check_bool (Fmt.str "response %d not shed" i) false
+        (contains l "overloaded"))
+    out
+
+(* A 0-domain scheduler answers on the reading thread (it used to queue
+   with no worker to drain it), and a list source renders exactly what
+   the descriptor source does, oversized lines included. *)
+let test_serve_zero_domains () =
+  (* a fresh registry per run, so cache fields agree *)
+  let with_serial f =
+    let sched = Scheduler.create ~domains:0 ~registry:(Registry.create ()) () in
+    Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) (fun () ->
+        f sched)
+  in
+  let lines =
+    [ {|{"id":"a","grammar":"dyck","input":"()"}|};
+      "";
+      Fmt.str {|{"id":"big","grammar":"dyck","input":"%s"}|}
+        (String.make 300 '(');
+      {|{"op":"health"}|};
+      {|{"id":"s","op":"session_open","grammar":"dyck"}|};
+      {|{"op":"append","session":"s0","chunk":"()","trace":true}|};
+      {|{"id":"t","grammar":"dyck","input":"(","timeout_ms":0}|} ]
+  in
+  let in_r, in_w = Unix.pipe () in
+  let out_r, out_w = Unix.pipe () in
+  write_all in_w (String.concat "\n" lines ^ "\n");
+  Unix.close in_w;
+  let st_fd =
+    with_serial (fun sched ->
+        Server.serve_stream ~max_line_bytes:256 ~sched ~times:false in_r out_w)
+  in
+  Unix.close out_w;
+  let from_fd = read_all_lines out_r in
+  Unix.close out_r;
+  Unix.close in_r;
+  let out = ref [] in
+  let st_list =
+    with_serial (fun sched ->
+        Server.serve_lines ~max_line_bytes:256 ~admission:`Shed ~sched
+          ~times:false (Server.list_source lines) (fun l -> out := l :: !out))
+  in
+  check_int "one response per non-blank line" 6 (List.length from_fd);
+  check_bool "oversized line answered" true
+    (contains (List.nth from_fd 1) "line exceeds 256-byte limit");
+  check_bool "malformed status" true (st_fd = `Malformed);
+  check_bool "same status" true (st_fd = st_list);
+  Alcotest.(check (list string)) "list source = descriptor source" from_fd
+    (List.rev !out)
 
 (* --- the TCP front end ------------------------------------------------------ *)
 
@@ -336,11 +417,6 @@ let test_tcp_graceful_drain () =
     | exception Unix.Unix_error _ -> true)
 
 (* --- the operations plane on the wire ------------------------------------- *)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let test_serve_stream_admin_and_trace () =
   with_sched @@ fun sched ->
@@ -619,6 +695,10 @@ let suite =
       `Quick test_serve_stream_ordered;
     Alcotest.test_case "serve_stream: survives a vanished peer" `Quick
       test_serve_stream_peer_vanishes;
+    Alcotest.test_case "serve_lines: blocking admission never sheds" `Quick
+      test_serve_lines_blocking;
+    Alcotest.test_case "serve_stream: 0 domains answers on the reader" `Quick
+      test_serve_zero_domains;
     Alcotest.test_case "tcp: 1000-connection churn, no fd leak" `Quick
       test_tcp_churn;
     Alcotest.test_case "tcp: sheds beyond max-conns" `Quick test_tcp_shed;

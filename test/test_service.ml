@@ -511,27 +511,110 @@ let test_result_cache () =
 
 (* --- scheduler ----------------------------------------------------------- *)
 
-let test_scheduler_shed () =
-  (* domains = 0: nothing drains, so the queue fills deterministically *)
+let dyck_req input =
+  match
+    Protocol.parse_request
+      (Fmt.str {|{"grammar":"dyck","input":"%s"}|} input)
+  with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
+(* A 1-domain pool whose only worker is held inside a completion
+   callback: whatever is submitted meanwhile provably sits queued until
+   [release] is called. *)
+let parked_pool ~queue_cap =
   let reg = Registry.create () in
-  let sched = Scheduler.create ~domains:0 ~queue_cap:2 ~registry:reg () in
-  let req =
-    match Protocol.parse_request {|{"grammar":"dyck","input":"()"}|} with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
+  let sched = Scheduler.create ~domains:1 ~queue_cap ~registry:reg () in
+  let mu = Mutex.create () and cv = Condition.create () in
+  let parked = ref false and released = ref false in
+  let park _ =
+    Mutex.protect mu (fun () ->
+        parked := true;
+        Condition.broadcast cv;
+        while not !released do
+          Condition.wait cv mu
+        done)
   in
-  let got = ref [] in
-  let submit () = Scheduler.try_submit sched req (fun r -> got := r :: !got) in
+  (match Scheduler.try_submit sched (dyck_req "()") park with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "parking job shed");
+  Mutex.protect mu (fun () ->
+      while not !parked do
+        Condition.wait cv mu
+      done);
+  let release () =
+    Mutex.protect mu (fun () ->
+        released := true;
+        Condition.broadcast cv)
+  in
+  (sched, release)
+
+let test_scheduler_shed () =
+  let sched, release = parked_pool ~queue_cap:2 in
+  let req = dyck_req "()" in
+  let got = Atomic.make 0 in
+  let submit () = Scheduler.try_submit sched req (fun _ -> Atomic.incr got) in
   check_bool "first enqueues" true (submit () = Ok ());
   check_bool "second enqueues" true (submit () = Ok ());
   (match submit () with
   | Error retry -> check_bool "retry hint positive" true (retry > 0)
   | Ok () -> Alcotest.fail "queue over capacity");
-  check_bool "drain one" true (Scheduler.drain_one sched);
+  check_int "nothing answered while parked" 0 (Atomic.get got);
+  release ();
+  let t0 = Unix.gettimeofday () in
+  while Atomic.get got < 2 && Unix.gettimeofday () -. t0 < 10. do
+    Thread.yield ()
+  done;
   check_bool "space again" true (submit () = Ok ());
-  while Scheduler.drain_one sched do () done;
-  check_int "all accepted jobs answered" 3 (List.length !got);
-  Scheduler.shutdown sched
+  Scheduler.shutdown sched;
+  check_int "all accepted jobs answered" 3 (Atomic.get got)
+
+(* domains = 0 runs on the caller: the callback has run before
+   submit/try_submit returns, nothing is ever queued or shed, and the
+   answer is the one a worker would give *)
+let test_scheduler_inline () =
+  let reg = Registry.create () in
+  let sched = Scheduler.create ~domains:0 ~queue_cap:1 ~registry:reg () in
+  let self = Thread.id (Thread.self ()) in
+  let got = ref [] in
+  let k r =
+    check_bool "callback on the submitting thread" true
+      (Thread.id (Thread.self ()) = self);
+    got := r :: !got
+  in
+  Scheduler.submit sched (dyck_req "(())") k;
+  check_int "submit answered before returning" 1 (List.length !got);
+  for i = 1 to 5 do
+    check_bool "try_submit never sheds" true
+      (Scheduler.try_submit sched (dyck_req "()(") k = Ok ());
+    check_int "try_submit answered before returning" (1 + i)
+      (List.length !got)
+  done;
+  check_int "nothing queued" 0 (Scheduler.depth sched);
+  (match !got with
+  | last :: _ :: _ ->
+    check_bool "rejects ()(" true
+      (last.Protocol.outcome = Ok Protocol.Rejected)
+  | _ -> Alcotest.fail "no responses");
+  check_bool "accepts (())" true
+    (match (List.nth !got 5).Protocol.outcome with
+    | Ok (Protocol.Accepted _) -> true
+    | _ -> false);
+  let timed = ref None in
+  (match
+     Protocol.parse_request
+       {|{"id":"z","grammar":"dyck","input":"()","timeout_ms":0}|}
+   with
+  | Ok r -> Scheduler.submit sched r (fun r -> timed := Some r)
+  | Error e -> Alcotest.fail e);
+  (match !timed with
+  | Some { Protocol.outcome = Error (Protocol.Timeout _); _ } -> ()
+  | _ -> Alcotest.fail "zero budget: expected an inline timeout");
+  Scheduler.shutdown sched;
+  check_bool "submit after shutdown raises" true
+    (match Scheduler.submit sched (dyck_req "()") ignore with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 let mixed_requests () =
   List.filter_map
@@ -712,14 +795,13 @@ let test_fault_verdict_invariant_with_cache () =
 (* --- scheduler: queued-deadline expiry ------------------------------------ *)
 
 let test_queue_expiry () =
-  (* domains = 0: the job provably sits queued past its deadline before
-     [drain_one] runs it *)
+  (* the worker is parked, so the job provably sits queued past its
+     deadline before the worker reaches it *)
   let was_enabled = Probe.enabled () in
   Probe.enable ();
   let c = Probe.counter "scheduler.expired_in_queue" in
   let before = Probe.value c in
-  let reg = Registry.create () in
-  let sched = Scheduler.create ~domains:0 ~queue_cap:4 ~registry:reg () in
+  let sched, release = parked_pool ~queue_cap:4 in
   let req =
     match
       Protocol.parse_request
@@ -733,7 +815,7 @@ let test_queue_expiry () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "submit");
   Unix.sleepf 0.02;
-  check_bool "drained" true (Scheduler.drain_one sched);
+  release ();
   Scheduler.shutdown sched;
   if not was_enabled then Probe.disable ();
   match !got with
@@ -769,6 +851,35 @@ let test_fuzz_differential () =
         check_bool "responses produced" true (r.Fuzz.responses > 0)
       | Error msg -> Alcotest.failf "differential (seed %d): %s" seed msg)
     [ (7, None); (8, Some "seed=2;exec.run:fail:0.4;registry.get:corrupt:0.5") ]
+
+(* Both sides now answer an engine exception the same way (a worker and
+   the 0-domain serial path share [run_job]), so agreement alone would
+   pass a crash: the verdict must fail on an internal error wherever it
+   appears. *)
+let test_fuzz_internal_error () =
+  let render r = Protocol.response_to_json ~times:false r in
+  let ok = render (Protocol.bad_request ~id:"a" "unknown grammar") in
+  let crash =
+    render (Protocol.bad_request ~id:"b" "internal error: Not_found")
+  in
+  (match Fuzz.compare_replays ~serial:[ ok; ok ] ~service:[ ok; ok ] with
+  | Ok n -> check_int "clean round counts responses" 2 n
+  | Error e -> Alcotest.failf "clean round failed: %s" e);
+  let fails name ~serial ~service =
+    match Fuzz.compare_replays ~serial ~service with
+    | Ok _ -> Alcotest.failf "%s: round passed" name
+    | Error e -> e
+  in
+  let e = fails "agreeing crash" ~serial:[ ok; crash ] ~service:[ ok; crash ] in
+  check_bool "names the internal error" true
+    (contains ~affix:"response 1 is an internal error" e);
+  ignore (fails "serial-only crash" ~serial:[ crash ] ~service:[ ok ]);
+  ignore (fails "service-only crash" ~serial:[ ok ] ~service:[ crash ]);
+  ignore (fails "count mismatch" ~serial:[ ok ] ~service:[ ok; ok ]);
+  (* the real rendering of a caught exception is what the check keys on *)
+  check_bool "scheduler wording" true
+    (contains ~affix:{|"error":"bad_request","message":"internal error: |}
+       crash)
 
 (* --- fuzz: the committed corpus ------------------------------------------- *)
 
@@ -1628,4 +1739,8 @@ let suite =
       test_session_paranoid;
     QCheck_alcotest.to_alcotest prop_session_service_differential;
     Alcotest.test_case "exec: deep parse, polynomial tree walk" `Quick
-      test_deep_parse ]
+      test_deep_parse;
+    Alcotest.test_case "scheduler: 0 domains answers before submit returns"
+      `Quick test_scheduler_inline;
+    Alcotest.test_case "fuzz: an internal error fails the round" `Quick
+      test_fuzz_internal_error ]
