@@ -742,7 +742,7 @@ let bench_incremental () =
   let comp = Earley.compile dyck_cfg in
   row
     [ cell "%6s" "len"; cell "%7s" "reused"; cell "%11s" "incr";
-      cell "%11s" "scratch"; cell "%8s" "speedup" ];
+      cell "%11s" "scratch"; cell "%8s" "speedup"; cell "%9s" "retained" ];
   List.iter
     (fun n ->
       let base = String.concat "" (List.init (n / 2) (fun _ -> "()")) in
@@ -774,13 +774,15 @@ let bench_incremental () =
       json ~section:"incremental"
         [ ("len", Ev.Int (String.length text));
           ("reused_sets", Ev.Int !reused);
+          ("retained_words", Ev.Int (Obj.reachable_words (Obj.repr es)));
           ("incremental_ns", Ev.Float incr_ns);
           ("from_scratch_ns", Ev.Float scratch_ns);
           ("speedup", Ev.Float (scratch_ns /. incr_ns)) ];
       row
         [ cell "%6d" (String.length text); cell "%7d" !reused;
           pp_ns incr_ns; pp_ns scratch_ns;
-          cell "%7.1fx" (scratch_ns /. incr_ns) ])
+          cell "%7.1fx" (scratch_ns /. incr_ns);
+          cell "%8dw" (Obj.reachable_words (Obj.repr es)) ])
     [ 512; 2048; 4096 ];
   (* streaming accepts-as-you-go: feed 64 chunks of 32 bytes and answer
      after each, vs re-parsing the growing buffer from scratch per chunk *)
@@ -804,6 +806,7 @@ let bench_incremental () =
   in
   json ~section:"incremental"
     [ ("stream_chunks", Ev.Int (List.length chunks));
+      ("retained_words", Ev.Int (Obj.reachable_words (Obj.repr es)));
       ("stream_incremental_ns", Ev.Float stream_incr_ns);
       ("stream_from_scratch_ns", Ev.Float stream_scratch_ns);
       ("stream_speedup", Ev.Float (stream_scratch_ns /. stream_incr_ns)) ];

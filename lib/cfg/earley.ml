@@ -7,11 +7,12 @@ let c_leo_items = Probe.counter "earley.leo_items"
 let c_leo_uses = Probe.counter "earley.leo_uses"
 
 (* An Earley item (production, dot position, origin) is packed into one
-   int — [((origin * nprods) + prod) * maxdot + dot] — so chart and queue
-   membership hash a word instead of walking a record, and advancing the
-   dot is [enc + 1].  Completed constituents (origin, end, production)
-   pack the same way.  The tables are int-keyed with an inline
-   multiplicative hash: no generic-hash C call per probe. *)
+   int — [((origin * nprods) + prod) * maxdot + dot] — so the chart is a
+   flat int array, membership hashes a word instead of walking a record,
+   and advancing the dot is [enc + 1].  Completed constituents (origin,
+   end, production) pack the same way.  {!parse_tree}'s memo tables are
+   int-keyed with an inline multiplicative hash: no generic-hash C call
+   per probe. *)
 module IntTbl = Hashtbl.Make (struct
   type t = int
 
@@ -93,153 +94,195 @@ let compile (cfg : Cfg.t) =
 
 (* --- reusable scratch ----------------------------------------------------
 
-   All per-run storage, reusable across runs: chart hash tables keep
-   their bucket arrays across [IntTbl.clear], the flat waiting/Leo
-   arrays and the two work queues are grow-only.  A scratch belongs to
-   exactly one run at a time (the service pools one per worker domain);
-   the returned chart aliases its tables, so a chart is only valid until
-   the scratch's next run. *)
+   All per-run storage lives in flat int arrays that grow by doubling
+   and are never shrunk, so a warm scratch serves a request without
+   allocating.  Sets are laid out one after another:
+
+   - [items]: every set's items, contiguous; set [p] is
+     [set_lo.(p) .. set_lo.(p+1) - 1].  The open set's unprocessed tail
+     is the FIFO work list.  Items scanned into [p+1] wait in [next]
+     until that set opens.
+   - [whead]/[wnext]: the waiting index.  [whead.(p * nnts + nt)] is the
+     newest item of set [p] awaiting [nt] (-1 none), [wnext] chains the
+     older ones, parallel to [items].
+   - [facts]: completed (origin * nprods + prod) constituents, set [p]'s
+     at [fact_lo.(p) ..], sorted when the set closes.
+   - [uses]: Leo shortcut uses (origin * nnts + nt), set [p]'s at
+     [use_lo.(p) ..].
+   - [leo]: the Leo memo per (set, nt), see [run_core].
+   - [h_idx]/[h_gen]: membership of the open set only — open addressing
+     over item indices, a slot live iff its stamp is the current [gen],
+     so opening a set clears the table in O(1).
+
+   A set's [whead]/[leo] rows are cleared when it opens, so a run never
+   reads another run's rows and a stride change (another grammar took
+   the scratch) needs no relayout.  A scratch belongs to exactly one run
+   at a time (the service pools them per artifact); the returned chart
+   aliases it, so a chart is only valid until the scratch's next run. *)
 
 type scratch = {
-  mutable s_charts : unit IntTbl.t array;
-  mutable s_compl : unit IntTbl.t array;
-      (** per end position: completed (origin * nprods + prod) facts *)
-  mutable s_uses : (int * int) list array;
-      (** per end position: (origin, nt id) Leo shortcut uses *)
-  mutable s_waiting : int list array;  (** flat (pos * nnts + nt) *)
-  mutable s_leo_top : int array;  (** 0 unknown, 1 none, enc+2 topmost *)
-  mutable s_leo_link : int array;  (** 0 none, enc+2 the unique awaiter *)
-  s_qa : int Queue.t;
-  s_qb : int Queue.t;
-  mutable s_nnts : int;  (** stride the flat arrays were laid out for *)
-  mutable s_used : int;  (** position slots dirtied by the last run *)
+  mutable items : int array;
+  mutable wnext : int array;
+  mutable n_items : int;
+  mutable set_lo : int array;
+  mutable facts : int array;
+  mutable n_facts : int;
+  mutable fact_lo : int array;
+  mutable uses : int array;
+  mutable n_uses : int;
+  mutable use_lo : int array;
+  mutable whead : int array;
+  mutable leo : int array;
+  mutable next : int array;
+  mutable n_next : int;
+  mutable h_idx : int array;
+  mutable h_gen : int array;
+  mutable h_bits : int;
+  mutable gen : int;
 }
 
 let scratch () =
-  { s_charts = [||];
-    s_compl = [||];
-    s_uses = [||];
-    s_waiting = [||];
-    s_leo_top = [||];
-    s_leo_link = [||];
-    s_qa = Queue.create ();
-    s_qb = Queue.create ();
-    s_nnts = 0;
-    s_used = 0 }
+  { items = [||];
+    wnext = [||];
+    n_items = 0;
+    set_lo = [||];
+    facts = [||];
+    n_facts = 0;
+    fact_lo = [||];
+    uses = [||];
+    n_uses = 0;
+    use_lo = [||];
+    whead = [||];
+    leo = [||];
+    next = [||];
+    n_next = 0;
+    h_idx = Array.make 64 0;
+    h_gen = Array.make 64 0;
+    h_bits = 6;
+    gen = 0 }
 
-let grow_tables arr slots =
-  let old = Array.length arr in
-  if old >= slots then arr
-  else Array.init slots (fun i -> if i < old then arr.(i) else IntTbl.create 16)
+let scratch_positions sc = Array.length sc.set_lo
 
-(* Reset-and-grow.  The dirty region of the previous run is bounded by
-   [s_used] × [s_nnts]; if the stride changed (a different grammar took
-   the scratch) the flat arrays are relaid instead of cleared, because a
-   stale entry under a new stride would land at a valid index. *)
-let prepare sc ~slots ~nnts =
-  let old = Array.length sc.s_charts in
-  for i = 0 to min sc.s_used old - 1 do
-    IntTbl.clear sc.s_charts.(i);
-    IntTbl.clear sc.s_compl.(i);
-    sc.s_uses.(i) <- []
-  done;
-  if old < slots then begin
-    sc.s_charts <- grow_tables sc.s_charts slots;
-    sc.s_compl <- grow_tables sc.s_compl slots;
-    sc.s_uses <-
-      Array.init slots (fun i ->
-          if i < old then sc.s_uses.(i) else [])
-  end;
-  let need = slots * nnts in
-  if sc.s_nnts <> nnts || Array.length sc.s_waiting < need then begin
-    let cap = max need (Array.length sc.s_waiting) in
-    sc.s_waiting <- Array.make cap [];
-    sc.s_leo_top <- Array.make cap 0;
-    sc.s_leo_link <- Array.make cap 0;
-    sc.s_nnts <- nnts
-  end
+(* [a] with room for [need] entries: doubled (at least) when short *)
+let reserve a need =
+  if need <= Array.length a then a
   else begin
-    let dirty = min (sc.s_used * nnts) (Array.length sc.s_waiting) in
-    Array.fill sc.s_waiting 0 dirty [];
-    Array.fill sc.s_leo_top 0 dirty 0;
-    Array.fill sc.s_leo_link 0 dirty 0
-  end;
-  Queue.clear sc.s_qa;
-  Queue.clear sc.s_qb;
-  sc.s_used <- slots
+    let b = Array.make (max need (max 64 (2 * Array.length a))) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
-(* Suffix reset for incremental re-parses: chart sets [0..keep] stay
-   live, everything above is cleared (tables, waiting/Leo rows), then
-   the arrays grow to [slots].  Only valid when the stride is unchanged
-   — a session owns its scratch, so it always is.  Returns the number
-   of chart items dropped. *)
-let invalidate_suffix sc ~slots ~nnts ~keep =
-  let old_used = sc.s_used in
-  let removed = ref 0 in
-  let hi = min old_used (Array.length sc.s_charts) in
-  for i = keep + 1 to hi - 1 do
-    removed := !removed + IntTbl.length sc.s_charts.(i);
-    IntTbl.clear sc.s_charts.(i);
-    IntTbl.clear sc.s_compl.(i);
-    sc.s_uses.(i) <- []
+(* Keep sets [0..keep] (none for [keep = -1]) and drop every set above
+   by moving the fill marks back to the end of set [keep]; make room for
+   the per-position arrays of an [n]-character input. *)
+let truncate sc ~n ~nnts ~keep =
+  sc.set_lo <- reserve sc.set_lo (n + 2);
+  sc.fact_lo <- reserve sc.fact_lo (n + 2);
+  sc.use_lo <- reserve sc.use_lo (n + 2);
+  sc.whead <- reserve sc.whead ((n + 1) * nnts);
+  sc.leo <- reserve sc.leo ((n + 1) * nnts);
+  if keep < 0 then begin
+    sc.set_lo.(0) <- 0;
+    sc.fact_lo.(0) <- 0;
+    sc.use_lo.(0) <- 0
+  end;
+  sc.n_items <- sc.set_lo.(keep + 1);
+  sc.n_facts <- sc.fact_lo.(keep + 1);
+  sc.n_uses <- sc.use_lo.(keep + 1);
+  sc.n_next <- 0
+
+(* Fibonacci hashing: the top [h_bits] bits of the product, so items
+   differing only in their origin (a multiple of nprods * maxdot) still
+   spread *)
+let slot_of sc enc = (enc * 0x278DDE6E5FD29F05) lsr (63 - sc.h_bits)
+
+(* The slot holding [enc] in the open set's table, or the free slot
+   where it belongs. *)
+let find_slot sc enc =
+  let mask = (1 lsl sc.h_bits) - 1 in
+  let h = ref (slot_of sc enc) in
+  while
+    sc.h_gen.(!h) = sc.gen && sc.items.(sc.h_idx.(!h)) <> enc
+  do
+    h := (!h + 1) land mask
   done;
-  let old = Array.length sc.s_charts in
-  if old < slots then begin
-    sc.s_charts <- grow_tables sc.s_charts slots;
-    sc.s_compl <- grow_tables sc.s_compl slots;
-    sc.s_uses <-
-      Array.init slots (fun i -> if i < old then sc.s_uses.(i) else [])
-  end;
-  let lo = (keep + 1) * nnts in
-  let fhi = min (old_used * nnts) (Array.length sc.s_waiting) in
-  if fhi > lo then begin
-    Array.fill sc.s_waiting lo (fhi - lo) [];
-    Array.fill sc.s_leo_top lo (fhi - lo) 0;
-    Array.fill sc.s_leo_link lo (fhi - lo) 0
-  end;
-  let need = slots * nnts in
-  if Array.length sc.s_waiting < need then begin
-    let cap = max need (2 * Array.length sc.s_waiting) in
-    let grow a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 (Array.length a);
-      b
-    in
-    sc.s_waiting <- grow sc.s_waiting [];
-    sc.s_leo_top <- grow sc.s_leo_top 0;
-    sc.s_leo_link <- grow sc.s_leo_link 0
-  end;
-  Queue.clear sc.s_qa;
-  Queue.clear sc.s_qb;
-  sc.s_used <- slots;
-  !removed
+  !h
+
+(* Rehash the open set (items [lo .. n_items - 1]) into a table twice as
+   large. *)
+let grow_table sc lo =
+  sc.h_bits <- sc.h_bits + 1;
+  sc.h_idx <- Array.make (1 lsl sc.h_bits) 0;
+  sc.h_gen <- Array.make (1 lsl sc.h_bits) 0;
+  for i = lo to sc.n_items - 1 do
+    let h = find_slot sc sc.items.(i) in
+    sc.h_gen.(h) <- sc.gen;
+    sc.h_idx.(h) <- i
+  done
+
+(* Index of [enc] in the open set, or -1. *)
+let index_of sc enc =
+  let h = find_slot sc enc in
+  if sc.h_gen.(h) = sc.gen then sc.h_idx.(h) else -1
+
+(* In-place heapsort of [a.(lo .. hi - 1)]. *)
+let sort_slice a lo hi =
+  let swap i j =
+    let t = a.(lo + i) in
+    a.(lo + i) <- a.(lo + j);
+    a.(lo + j) <- t
+  in
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c =
+        if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l
+      in
+      if a.(lo + c) > a.(lo + i) then begin
+        swap i c;
+        sift c len
+      end
+    end
+  in
+  let len = hi - lo in
+  for i = (len / 2) - 1 downto 0 do
+    sift i len
+  done;
+  for e = len - 1 downto 1 do
+    swap 0 e;
+    sift 0 e
+  done
+
+(* Is [key] among the sorted [a.(lo .. hi - 1)]? *)
+let bsearch a key lo hi =
+  let l = ref lo and h = ref hi in
+  while !l < !h do
+    let mid = (!l + !h) lsr 1 in
+    if a.(mid) < key then l := mid + 1 else h := mid
+  done;
+  !l < hi && a.(!l) = key
 
 (* --- charts --------------------------------------------------------------
 
-   One recognizer run: the item count, the chart tables (slots 0..n of
-   possibly longer scratch-owned arrays), the completed-constituent
-   facts, and — under Leo — the reduction memos and the shortcut uses,
-   from which {!parse_tree} reconstructs the skipped intermediate
-   completions on demand. *)
+   One recognizer run: the scratch it aliases, whose sets 0..n are
+   final. *)
 type chart = {
   comp : compiled;
   input : string;
-  charts : unit IntTbl.t array;
-  compl : unit IntTbl.t array;
-      (* per end position: (origin * nprods + prod) completed facts.
-         Keys are independent of the input length, so a retained chart
-         prefix stays valid across session edits. *)
-  items : int;
-  leo_top : int array;
-  leo_link : int array;
-  uses : (int * int) list array;  (* per end position: (origin, nt id) *)
-  mutable expanded : bool;
+  sc : scratch;
+  mutable skipped : unit IntTbl.t option array;
+      (* per end position: the facts Leo shortcuts skipped, see
+         [skipped_at] *)
 }
 
-(* Is (origin, end = pos, production) a completed constituent?  The
-   constituent's nonterminal is implied by the production. *)
+(* Is (origin, end = pos, production) a completed constituent that the
+   recognizer recorded?  The constituent's nonterminal is implied by the
+   production. *)
 let fact ch origin pos prod =
-  IntTbl.mem ch.compl.(pos) ((origin * ch.comp.nprods) + prod)
+  let sc = ch.sc in
+  bsearch sc.facts
+    ((origin * ch.comp.nprods) + prod)
+    sc.fact_lo.(pos) sc.fact_lo.(pos + 1)
 
 (* The completer has two implementations:
 
@@ -276,187 +319,224 @@ let fact ch origin pos prod =
    through (o, A), memoized per (set, nonterminal)).  Right-recursive
    tails then cost O(1) per completion instead of O(chain), and the chart
    stays linear for LR-regular grammars.  The facts a shortcut skips are
-   recoverable: every shortcut records its (origin, nonterminal, end),
-   and {!expand_walk} re-walks the memoized links to materialize them on
-   demand — in full for [parse_tree], and only for the chains ending at
-   the last position for [accepts]. *)
-(* The position loop shared by one-shot runs and session feeds.  The
-   scratch has been prepared (or suffix-invalidated); [start] either
-   seeds the initial predictions ([`Fresh]) or re-scans the retained set
-   [k] over the (possibly new) character at [k] to seed set [k+1]'s
-   queue ([`Rescan k]) — set [k+1] receives items only through scans
-   from set [k], so that is exactly the fresh run's contribution and the
-   loop regenerates the rest. *)
-let run_core ~indexed ~leo ?poll comp sc w ~start ~chart_items ~peak =
+   recoverable: every shortcut records its (origin, nonterminal) at its
+   end position, the chain's links are the unique awaiters, and
+   {!parse_tree} re-walks them.  {!accepts} does not need to: the memo
+   also records whether a chain completes the start symbol from origin 0.
+
+   The position loop is shared by one-shot runs and session feeds.  The
+   scratch has been truncated to sets [0..keep]; with none kept the run
+   seeds the initial predictions, otherwise it re-scans the retained set
+   [keep] over the (possibly new) character at [keep] to seed set
+   [keep+1] — which receives items only through scans from set [keep],
+   so that is exactly the fresh run's contribution and the loop
+   regenerates the rest. *)
+let run_core ~indexed ~leo ?poll comp sc w ~keep ~peak =
   let n = String.length w in
   let { nprods; maxdot; nnts; rhs_len; term_at; await_at; lhs_id; preds;
         nullable_nt; start_nt; _ } =
     comp
   in
-  let charts = sc.s_charts in
-  let compl = sc.s_compl in
-  let uses = sc.s_uses in
-  let waiting = sc.s_waiting in
-  let leo_top = sc.s_leo_top in
-  let leo_link = sc.s_leo_link in
+  let pm = nprods * maxdot in
   let encode origin prod dot = (((origin * nprods) + prod) * maxdot) + dot in
-  let packc origin prod = (origin * nprods) + prod in
-  let enqueue pos enc queue =
-    if not (IntTbl.mem charts.(pos) enc) then begin
+  (* add [enc] to the open set [pos] (which starts at item [lo]) unless
+     present *)
+  let add pos lo enc =
+    let h = find_slot sc enc in
+    if sc.h_gen.(h) <> sc.gen then begin
       Probe.bump c_items;
-      incr chart_items;
-      IntTbl.add charts.(pos) enc ();
-      if indexed then begin
-        let dot = enc mod maxdot in
-        let prod = enc / maxdot mod nprods in
-        let aw = await_at.((prod * maxdot) + dot) in
-        if aw >= 0 then
-          waiting.((pos * nnts) + aw) <- enc :: waiting.((pos * nnts) + aw)
+      let i = sc.n_items in
+      if i = Array.length sc.items then begin
+        sc.items <- reserve sc.items (i + 1);
+        sc.wnext <- reserve sc.wnext (i + 1)
       end;
-      Queue.add enc queue
+      sc.items.(i) <- enc;
+      sc.n_items <- i + 1;
+      sc.h_gen.(h) <- sc.gen;
+      sc.h_idx.(h) <- i;
+      if 2 * (i + 1 - lo) > 1 lsl sc.h_bits then grow_table sc lo;
+      if indexed then begin
+        let aw = await_at.(enc mod pm) in
+        if aw >= 0 then begin
+          let row = (pos * nnts) + aw in
+          sc.wnext.(i) <- sc.whead.(row);
+          sc.whead.(row) <- i
+        end
+      end
     end
   in
-  (* Leo memo: topmost transitive item for (set k, nonterminal b), or -1.
-     Encoded in the flat arrays as value+2 with 0 = not yet computed and
-     the in-progress slot pre-set to "none" — a re-entrant read (only
-     possible through degenerate unit cycles) then conservatively falls
-     back to regular completion, which terminates by chart dedup. *)
+  let scan enc =
+    let j = sc.n_next in
+    if j = Array.length sc.next then sc.next <- reserve sc.next (j + 1);
+    sc.next.(j) <- enc;
+    sc.n_next <- j + 1
+  in
+  (* Leo memo for (set k, nonterminal b): 0 not yet computed, else
+     [((top + 2) lsl 1) lor accept] — [top] the topmost transitive item
+     (-1 none), [accept] whether the chain's skipped completions include
+     a start-symbol constituent from origin 0.  The in-progress slot is
+     pre-set to "none", so a re-entrant read (only possible through
+     degenerate unit cycles) conservatively falls back to regular
+     completion, which terminates by chart dedup.  The chain's link is
+     the set's unique awaiter of [b], so it needs no slot of its own. *)
   let rec leo_of k b =
     let idx = (k * nnts) + b in
-    let v = leo_top.(idx) in
-    if v <> 0 then v - 2
+    let v = sc.leo.(idx) in
+    if v <> 0 then (v lsr 1) - 2
     else begin
-      leo_top.(idx) <- 1;
-      let result =
-        match waiting.(idx) with
-        | [ enc ] ->
-          let dot = enc mod maxdot in
-          let pd = enc / maxdot in
-          let prod = pd mod nprods in
-          let o = pd / nprods in
-          if dot + 1 <> rhs_len.(prod) then -1 (* b is not the final symbol *)
-          else begin
-            leo_link.(idx) <- enc + 2;
-            match leo_of o lhs_id.(prod) with
-            | t when t >= 0 -> t
-            | _ -> enc + 1
-          end
-        | _ -> -1
+      sc.leo.(idx) <- 2;
+      let link = sc.whead.(idx) in
+      let enc =
+        if link >= 0 && sc.wnext.(link) < 0 then sc.items.(link) else -1
       in
-      if result >= 0 then Probe.bump c_leo_items;
-      leo_top.(idx) <- result + 2;
-      result
+      let prod = if enc >= 0 then enc mod pm / maxdot else 0 in
+      let v =
+        if enc < 0 || (enc mod maxdot) + 1 <> rhs_len.(prod) then 2
+          (* no unique awaiter, or b is not its final symbol *)
+        else begin
+          let o = enc / pm and a = lhs_id.(prod) in
+          let own = if o = 0 && a = start_nt then 1 else 0 in
+          let t = leo_of o a in
+          if t >= 0 && t <> enc + 1 then
+            ((t + 2) lsl 1) lor own lor (sc.leo.((o * nnts) + a) land 1)
+          else ((enc + 3) lsl 1) lor own
+        end
+      in
+      if v > 3 then Probe.bump c_leo_items;
+      sc.leo.(idx) <- v;
+      (v lsr 1) - 2
     end
   in
-  let from =
-    match start with
-    | `Fresh ->
-      Array.iter
-        (fun i -> enqueue 0 (encode 0 i 0) sc.s_qa)
-        (if start_nt >= 0 then preds.(start_nt) else [||]);
-      0
-    | `Rescan k ->
-      if k < n then begin
-        let c = Char.code w.[k] in
-        let nq = if (k + 1) land 1 = 0 then sc.s_qa else sc.s_qb in
-        IntTbl.iter
-          (fun enc () ->
-            let dot = enc mod maxdot in
-            let prod = enc / maxdot mod nprods in
-            if term_at.((prod * maxdot) + dot) = c then
-              enqueue (k + 1) (enc + 1) nq)
-          charts.(k)
-      end;
-      k + 1
+  let open_set pos =
+    let lo = sc.n_items in
+    sc.set_lo.(pos) <- lo;
+    sc.gen <- sc.gen + 1;
+    Array.fill sc.whead (pos * nnts) nnts (-1);
+    Array.fill sc.leo (pos * nnts) nnts 0;
+    if Probe.enabled () then peak := max !peak sc.n_next;
+    let m = sc.n_next in
+    sc.n_next <- 0;
+    for j = 0 to m - 1 do
+      add pos lo sc.next.(j)
+    done;
+    lo
   in
-  for pos = from to n do
-    (* two queues, swapped per position: scans feed the next one,
-       prediction and completion the current one *)
-    let queue, next_queue =
-      if pos land 1 = 0 then (sc.s_qa, sc.s_qb) else (sc.s_qb, sc.s_qa)
-    in
-    if Probe.enabled () then peak := max !peak (IntTbl.length charts.(pos));
-    while not (Queue.is_empty queue) do
+  let close_set pos =
+    sort_slice sc.facts sc.fact_lo.(pos) sc.n_facts;
+    sc.set_lo.(pos + 1) <- sc.n_items;
+    sc.fact_lo.(pos + 1) <- sc.n_facts;
+    sc.use_lo.(pos + 1) <- sc.n_uses
+  in
+  if keep < 0 then begin
+    if start_nt >= 0 then
+      Array.iter (fun i -> scan (encode 0 i 0)) preds.(start_nt)
+  end
+  else if keep < n then begin
+    let c = Char.code w.[keep] in
+    for i = sc.set_lo.(keep) to sc.set_lo.(keep + 1) - 1 do
+      let enc = sc.items.(i) in
+      if term_at.(enc mod pm) = c then scan (enc + 1)
+    done
+  end;
+  let rec loop pos =
+    let lo = open_set pos in
+    let head = ref lo in
+    while !head < sc.n_items do
       (match poll with Some p -> p () | None -> ());
-      let enc = Queue.pop queue in
-      let dot = enc mod maxdot in
-      let pd = enc / maxdot in
-      let prod = pd mod nprods in
-      let origin = pd / nprods in
+      let me = !head in
+      incr head;
+      let enc = sc.items.(me) in
+      let slot = enc mod pm in
+      let dot = slot mod maxdot in
+      let prod = slot / maxdot in
+      let origin = enc / pm in
       if dot >= rhs_len.(prod) then begin
         (* complete *)
         Probe.bump c_completed;
-        IntTbl.replace compl.(pos) (packc origin prod) ();
+        let f = sc.n_facts in
+        if f = Array.length sc.facts then sc.facts <- reserve sc.facts (f + 1);
+        sc.facts.(f) <- (origin * nprods) + prod;
+        sc.n_facts <- f + 1;
         let b = lhs_id.(prod) in
         if indexed then begin
           let top = if leo && origin < pos then leo_of origin b else -1 in
           if top >= 0 then begin
             Probe.bump c_leo_uses;
-            uses.(pos) <- (origin, b) :: uses.(pos);
-            enqueue pos top queue
+            let u = sc.n_uses in
+            if u = Array.length sc.uses then sc.uses <- reserve sc.uses (u + 1);
+            sc.uses.(u) <- (origin * nnts) + b;
+            sc.n_uses <- u + 1;
+            add pos lo top
           end
-          else
-            (* the list read is a snapshot: parents registered during
-               these enqueues are same-position items awaiting a nullable
-               nonterminal, covered by the static advance at their pop *)
-            List.iter
-              (fun parent -> enqueue pos (parent + 1) queue)
-              waiting.((origin * nnts) + b)
+          else begin
+            (* the chain read starts from a snapshot of its head:
+               parents registered during these adds are same-position
+               items awaiting a nullable nonterminal, covered by the
+               static advance at their pop *)
+            let p = ref sc.whead.((origin * nnts) + b) in
+            while !p >= 0 do
+              add pos lo (sc.items.(!p) + 1);
+              p := sc.wnext.(!p)
+            done
+          end
         end
-        else
+        else begin
           (* seed behaviour, kept as the bench baseline: scan every item
              of the origin chart and test its next symbol *)
-          IntTbl.iter
-            (fun parent () ->
-              let pdot = parent mod maxdot in
-              let pprod = parent / maxdot mod nprods in
-              if
-                pdot < rhs_len.(pprod)
-                && await_at.((pprod * maxdot) + pdot) = b
-              then enqueue pos (parent + 1) queue)
-            charts.(origin)
+          let hi =
+            if origin = pos then sc.n_items else sc.set_lo.(origin + 1)
+          in
+          for i = sc.set_lo.(origin) to hi - 1 do
+            let parent = sc.items.(i) in
+            let ps = parent mod pm in
+            if
+              ps mod maxdot < rhs_len.(ps / maxdot) && await_at.(ps) = b
+            then add pos lo (parent + 1)
+          done
+        end
       end
       else begin
-        let slot = (prod * maxdot) + dot in
         let t = term_at.(slot) in
         if t >= 0 then begin
-          if pos < n && Char.code w.[pos] = t then
-            enqueue (pos + 1) (enc + 1) next_queue
+          if pos < n && Char.code (String.unsafe_get w pos) = t then
+            scan (enc + 1)
         end
         else
           let m = await_at.(slot) in
           if m >= 0 then begin
-            Array.iter
-              (fun i -> enqueue pos (encode pos i 0) queue)
-              preds.(m);
+            Array.iter (fun i -> add pos lo (encode pos i 0)) preds.(m);
             if indexed then begin
               (* nullable-aware prediction: advance over a nullable
                  nonterminal directly *)
-              if nullable_nt.(m) then enqueue pos (enc + 1) queue
+              if nullable_nt.(m) then add pos lo (enc + 1)
             end
-            else
+            else if
               (* seed: if m has already been completed over (pos, pos) —
-                 ε — advance *)
-              Array.iter
+                 ε — advance; its completed item was popped before this
+                 one iff it sits earlier in the set *)
+              Array.exists
                 (fun i ->
-                  if IntTbl.mem compl.(pos) (packc pos i) then
-                    enqueue pos (enc + 1) queue)
+                  let c = index_of sc (encode pos i rhs_len.(i)) in
+                  c >= 0 && c < me)
                 preds.(m)
+            then add pos lo (enc + 1)
           end
       end
-    done
-  done
+    done;
+    close_set pos;
+    if sc.n_items > lo then (if pos < n then loop (pos + 1))
+    else
+      (* an empty set scans nothing, so every later set is empty too *)
+      for p = pos + 2 to n + 1 do
+        sc.set_lo.(p) <- sc.n_items;
+        sc.fact_lo.(p) <- sc.n_facts;
+        sc.use_lo.(p) <- sc.n_uses
+      done
+  in
+  if keep < n then loop (keep + 1)
 
-let chart_of comp sc w ~items =
-  { comp;
-    input = w;
-    charts = sc.s_charts;
-    compl = sc.s_compl;
-    items;
-    leo_top = sc.s_leo_top;
-    leo_link = sc.s_leo_link;
-    uses = sc.s_uses;
-    expanded = false }
+let chart_of comp sc w =
+  { comp; input = w; sc; skipped = [||] }
 
 let run_compiled ?(indexed = true) ?(leo = true) ?scratch:sc ?poll comp w =
   let leo = leo && indexed in
@@ -468,11 +548,11 @@ let run_compiled ?(indexed = true) ?(leo = true) ?scratch:sc ?poll comp w =
         ("chart_items", Ev.Int !chart_items);
         ("chart_peak", Ev.Int !peak) ])
   @@ fun () ->
-  let n = String.length w in
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  prepare sc ~slots:(n + 1) ~nnts:comp.nnts;
-  run_core ~indexed ~leo ?poll comp sc w ~start:`Fresh ~chart_items ~peak;
-  chart_of comp sc w ~items:!chart_items
+  truncate sc ~n:(String.length w) ~nnts:comp.nnts ~keep:(-1);
+  run_core ~indexed ~leo ?poll comp sc w ~keep:(-1) ~peak;
+  chart_items := sc.n_items;
+  chart_of comp sc w
 
 let run ?indexed ?leo ?poll (cfg : Cfg.t) w =
   run_compiled ?indexed ?leo ?poll (compile cfg) w
@@ -487,10 +567,11 @@ let run ?indexed ?leo ?poll (cfg : Cfg.t) w =
    chart [x] while the scan position is at [x].  So after replacing the
    buffer with one sharing a prefix of length [lcp], sets
    [0..min lcp valid] are exactly what a from-scratch run would build —
-   including the Leo memos and waiting lists over those positions, which
-   depend only on sets at or below their own index.  {!feed} clears
-   everything above the reuse point, re-scans the boundary set over the
-   new character, and resumes the ordinary position loop.
+   including the Leo memos and waiting chains over those positions,
+   which depend only on sets at or below their own index.  {!feed}
+   truncates everything above the reuse point, re-scans the boundary set
+   over the new character, and resumes the ordinary position loop, so
+   an append costs only the new sets.
 
    A feed aborted by [poll] (deadline) leaves the scratch mid-build:
    the session marks itself invalid and the next feed recomputes from
@@ -503,18 +584,12 @@ type session = {
   ss_sc : scratch;
   mutable ss_buf : string;
   mutable ss_valid : int;  (* last position with a final chart set; -1 none *)
-  mutable ss_items : int;  (* live items across sets 0..ss_valid *)
   mutable ss_reused : int;  (* sets kept by the most recent feed *)
 }
 
 let session ?scratch:sc comp =
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  { ss_comp = comp;
-    ss_sc = sc;
-    ss_buf = "";
-    ss_valid = -1;
-    ss_items = 0;
-    ss_reused = 0 }
+  { ss_comp = comp; ss_sc = sc; ss_buf = ""; ss_valid = -1; ss_reused = 0 }
 
 let session_text s = s.ss_buf
 let session_reused s = s.ss_reused
@@ -529,6 +604,13 @@ let feed ?poll s w =
       let old = s.ss_buf in
       let m = min (String.length old) n in
       let i = ref 0 in
+      (* eight bytes a compare, then byte by byte *)
+      while
+        !i + 8 <= m
+        && (String.get_int64_ne old !i : int64) = String.get_int64_ne w !i
+      do
+        i := !i + 8
+      done;
       while
         !i < m && Char.equal (String.unsafe_get old !i) (String.unsafe_get w !i)
       do
@@ -548,66 +630,64 @@ let feed ?poll s w =
         ("reused_sets", Ev.Int s.ss_reused);
         ("chart_items", Ev.Int !chart_items) ])
   @@ fun () ->
-  if keep < 0 then begin
-    prepare sc ~slots:(n + 1) ~nnts:comp.nnts;
-    s.ss_items <- 0;
-    run_core ~indexed:true ~leo:true ?poll comp sc w ~start:`Fresh
-      ~chart_items ~peak
-  end
-  else begin
-    let removed = invalidate_suffix sc ~slots:(n + 1) ~nnts:comp.nnts ~keep in
-    s.ss_items <- s.ss_items - removed;
-    run_core ~indexed:true ~leo:true ?poll comp sc w ~start:(`Rescan keep)
-      ~chart_items ~peak
-  end;
-  s.ss_items <- s.ss_items + !chart_items;
+  truncate sc ~n ~nnts:comp.nnts ~keep;
+  let before = sc.n_items in
+  run_core ~indexed:true ~leo:true ?poll comp sc w ~keep ~peak;
+  chart_items := sc.n_items - before;
   s.ss_valid <- n;
-  chart_of comp sc w ~items:s.ss_items
-
-(* Leo expansion: re-walk a shortcut's memoized link chain and insert the
-   completed-constituent facts the shortcut skipped.  A chain node's
-   link is the unique awaiter [A → α • B, o]; its advance completes A
-   over (o, end).  The walk continues exactly while the memoized topmost
-   lies strictly above the link's own advance. *)
-let expand_at ch pos =
-  let { nprods; maxdot; nnts; lhs_id; _ } = ch.comp in
-  let seen = Hashtbl.create 16 in
-  let rec walk k b =
-    if not (Hashtbl.mem seen (k, b)) then begin
-      Hashtbl.add seen (k, b) ();
-      let idx = (k * nnts) + b in
-      let link = ch.leo_link.(idx) - 2 in
-      if link >= 0 then begin
-        let pd = link / maxdot in
-        let prod = pd mod nprods in
-        let o = pd / nprods in
-        IntTbl.replace ch.compl.(pos) ((o * nprods) + prod) ();
-        if ch.leo_top.(idx) - 2 <> link + 1 then walk o lhs_id.(prod)
-      end
-    end
-  in
-  List.iter (fun (k, b) -> walk k b) ch.uses.(pos)
-
-let expand ch =
-  if not ch.expanded then begin
-    ch.expanded <- true;
-    for pos = 0 to String.length ch.input do
-      expand_at ch pos
-    done
-  end
+  chart_of comp sc w
 
 let accepts ch =
-  let n = String.length ch.input in
-  (* a start-production fact over (0, n) may sit inside a skipped chain;
-     materialize just the chains ending at [n] — bounded by the work the
-     classical engine spends on its final item set alone *)
-  if not ch.expanded then expand_at ch n;
-  ch.comp.start_nt >= 0
-  && Array.exists
-       (fun i -> fact ch 0 n i)
-       ch.comp.preds.(ch.comp.start_nt)
+  let { comp; sc; input; _ } = ch in
+  let n = String.length input in
+  (* a start-production fact over (0, n) is either recorded at [n] or
+     inside a chain a Leo shortcut ending at [n] skipped, which the
+     memo's accept bit answers without walking the chain *)
+  comp.start_nt >= 0
+  && (Array.exists (fun i -> fact ch 0 n i) comp.preds.(comp.start_nt)
+     ||
+     let rec any u =
+       u < sc.use_lo.(n + 1)
+       && (sc.leo.(sc.uses.(u)) land 1 = 1 || any (u + 1))
+     in
+     any sc.use_lo.(n))
 
-let size ch = ch.items
+let size ch = ch.sc.set_lo.(String.length ch.input + 1)
+
+(* Leo expansion for {!parse_tree}: the completed-constituent facts the
+   shortcuts ending at [pos] skipped, keyed (origin * nprods + prod).  A
+   chain node (k, b) has the unique awaiter [A → α • B, o] of set [k] as
+   its link; its advance completes A over (o, pos).  The walk continues
+   exactly while the memoized topmost lies strictly above the link's own
+   advance.  Built on the first query at [pos] and kept on the chart: a
+   derivation walk only asks about the end positions of its
+   constituents, so a right-recursive chart never pays for the chains
+   of positions no constituent ends at. *)
+let skipped_at ch pos =
+  if Array.length ch.skipped = 0 then
+    ch.skipped <- Array.make (String.length ch.input + 1) None;
+  match ch.skipped.(pos) with
+  | Some t -> t
+  | None ->
+    let { nprods; maxdot; nnts; lhs_id; _ } = ch.comp in
+    let sc = ch.sc in
+    let pm = nprods * maxdot in
+    let t = IntTbl.create 16 and seen = IntTbl.create 16 in
+    let rec walk idx =
+      if not (IntTbl.mem seen idx) then begin
+        IntTbl.add seen idx ();
+        let link = sc.items.(sc.whead.(idx)) in
+        let o = link / pm and prod = link mod pm / maxdot in
+        IntTbl.replace t ((o * nprods) + prod) ();
+        if (sc.leo.(idx) lsr 1) - 2 <> link + 1 then
+          walk ((o * nnts) + lhs_id.(prod))
+      end
+    in
+    for u = sc.use_lo.(pos) to sc.use_lo.(pos + 1) - 1 do
+      walk sc.uses.(u)
+    done;
+    ch.skipped.(pos) <- Some t;
+    t
 
 type tree =
   | Leaf of char
@@ -621,9 +701,14 @@ type tree =
    the sequence walk rejects rebuilds the constituent it tried —
    exponential in the nesting depth of left-nested sums. *)
 let parse_tree ?poll ch =
-  expand ch;
   let c = ch.comp and w = ch.input in
   let n = String.length w in
+  let { facts; fact_lo; use_lo; _ } = ch.sc in
+  let fact i j pi =
+    let key = (i * c.nprods) + pi in
+    bsearch facts key fact_lo.(j) fact_lo.(j + 1)
+    || (use_lo.(j) < use_lo.(j + 1) && IntTbl.mem (skipped_at ch j) key)
+  in
   let active = IntTbl.create 16 and memo = IntTbl.create 64 in
   let rec build_nt ~top nt i j =
     let key = (((nt * (n + 1)) + i) * (n + 1)) + j in
@@ -637,7 +722,7 @@ let parse_tree ?poll ch =
         let result =
           Array.find_map
             (fun pi ->
-              if fact ch i j pi then
+              if fact i j pi then
                 Option.map
                   (fun children ->
                     Node (c.cfg.Cfg.productions.(pi).Cfg.lhs, pi, children))

@@ -15,8 +15,9 @@
     Leo's deterministic-reduction memo ([~leo], default on): completion
     chains of unique awaiters are collapsed to their topmost item in
     O(1), so [S → a S] charts grow O(n) instead of O(n²).  A Leo chart
-    answers {!accepts} directly; {!parse_tree} lazily re-materializes the
-    skipped intermediate completions from the memo before reconstructing.
+    answers {!accepts} from the memo without expanding any chain;
+    {!parse_tree} re-materializes the skipped intermediate completions
+    before reconstructing.
 
     Grammar-dependent preprocessing lives in a {!compiled} value, and all
     per-run storage in a reusable {!scratch}, so a hot caller (the parse
@@ -34,16 +35,24 @@ type compiled
 val compile : Cfg.t -> compiled
 
 type scratch
-(** Reusable per-run storage: chart tables, the waiting index, Leo memo
-    arrays and work queues.  Growing but never shrinking, so a warm
-    scratch serves a request without chart allocation.  A scratch may be
-    used by at most one run at a time, and the returned {!chart} aliases
-    its tables — a chart is invalidated by the scratch's next run. *)
+(** Reusable per-run storage: every chart set's items, the waiting
+    index, the completed facts, the Leo uses and memo, all in flat int
+    arrays that grow by doubling and never shrink — so a warm scratch
+    serves a request without chart allocation, and a retained chart
+    costs a few words per item rather than a hash table per position.
+    A scratch may be used by at most one run at a time, and the returned
+    {!chart} aliases its arrays — a chart is invalidated by the
+    scratch's next run. *)
 
 val scratch : unit -> scratch
 
+val scratch_positions : scratch -> int
+(** How many input positions the scratch's per-position arrays are laid
+    out for — what a pool caps before keeping a scratch for reuse. *)
+
 type chart
-(** The result of one recognizer run over one input. *)
+(** The result of one recognizer run over one input: its sets, sorted
+    completed facts and Leo uses, read in place from the scratch. *)
 
 val run :
   ?indexed:bool -> ?leo:bool -> ?poll:(unit -> unit) -> Cfg.t -> string -> chart
@@ -74,9 +83,10 @@ type session
     after an edit whose longest common prefix with the old buffer is
     [p], sets [0..p] (including Leo memos and the waiting index over
     those positions) are exactly what a from-scratch run would build,
-    and only the suffix is re-scanned.  A session owns its scratch; a
-    chart returned by {!feed} aliases it and is invalidated by the next
-    feed. *)
+    and only the suffix is re-scanned.  Dropping the suffix is a
+    truncation of the scratch's fill marks, so an append costs only the
+    new sets.  A session owns its scratch; a chart returned by {!feed}
+    aliases it and is invalidated by the next feed. *)
 
 val session : ?scratch:scratch -> compiled -> session
 (** A fresh session (empty buffer, no chart yet).  The completer is
@@ -102,7 +112,12 @@ val session_reused : session -> int
     buffer.  A reuse observability hook for tests and benches. *)
 
 val accepts : chart -> bool
-(** Was the whole input derived from the start symbol? *)
+(** Was the whole input derived from the start symbol?  Reads the
+    completed facts at the last position plus, for each Leo shortcut
+    ending there, a bit its memo recorded: whether the chain it skipped
+    completes the start symbol from origin 0.  No chain is walked: the
+    answer costs a binary search per start production and one read per
+    use at the last set. *)
 
 val size : chart -> int
 (** Total number of Earley items constructed (a work measure for the
@@ -117,8 +132,11 @@ type tree =
 val parse_tree : ?poll:(unit -> unit) -> chart -> tree option
 (** One derivation tree (the first found when walking back through
     completed items); [None] if the word is not in the language.  On a
-    Leo chart this first expands the memoized reduction chains so every
-    intermediate completion fact the shortcut skipped is available.
+    Leo chart the memoized reduction chains ending at a position are
+    expanded into a side table on the chart the first time the walk
+    asks about a constituent ending there, so every intermediate
+    completion fact the shortcuts skipped is available; the scratch
+    itself is not touched.
     Subtrees are memoized per (nonterminal, span), so the walk is
     polynomial in the input.  [poll] runs at every constituent visit
     and may raise to abort (deadline cancellation). *)

@@ -43,7 +43,12 @@ end
 
 module Tbl = Hashtbl.Make (Key)
 
-type status = Building | Built of int
+(* A span memo entry.  [Building d]: open on the recursion stack at ref
+   depth [d].  [Built id]: settled.  [Empty_under i]: found empty while
+   assuming an open ref empty — a same-span cycle cut — where [i] is the
+   shallowest ref instance so assumed; it stays valid until that
+   instance's component closes, which settles it (below). *)
+type status = Building of int | Built of int | Empty_under of int
 
 type pool = {
   memo : status Tbl.t;
@@ -60,6 +65,12 @@ type pool = {
   mutable pt : int array;
   mutable sp : int;
   mutable cnt : int array;  (* count sweep scratch *)
+  (* cycle-cut bookkeeping (see [build_span]) *)
+  mutable stk : int array;
+      (* per open ref depth: its instance, [prov] mark, assumed-empty flag *)
+  mutable inst : int array;
+      (* per ref instance: its depth, the instance it merged into *)
+  mutable prov : int array;  (* keys of [Empty_under] entries, in order *)
 }
 
 (* storage is allocated by the first build: a scratch bundle whose
@@ -77,7 +88,10 @@ let pool () =
     plab = [||];
     pt = [||];
     sp = 0;
-    cnt = [||] }
+    cnt = [||];
+    stk = [||];
+    inst = [||];
+    prov = [||] }
 
 type t = { p : pool; nodes : int; edges : int; root : int }
 
@@ -154,7 +168,26 @@ let node p l ~arity t0 =
 
 (* -1 is the empty pseudo-node: it has no derivations, no edge names it
    as a tail, and alternatives are only recorded when every child is
-   non-empty — so every recorded node has at least one parse. *)
+   non-empty — so every recorded node has at least one parse.
+
+   A ref met again over the same span while it is still being built is
+   cut (answered empty), as in the seed engines.  A result that is empty
+   only because of such a cut must not be memoized as settled: a visit
+   after the cut ref closes non-empty may succeed.  So it is recorded as
+   [Empty_under i], [i] being the shallowest open ref instance it
+   assumed empty (directly or through another such entry), and every
+   ref tracks whether anything assumed it empty.  When a ref closes:
+   - non-empty and assumed empty by someone: the entries recorded since
+     it opened are dropped, to be rebuilt on their next visit;
+   - empty with no assumption about an enclosing ref (the root of its
+     same-span component): the entries recorded since it opened are
+     empty for good — the assumptions were consistent, so no finite
+     derivation exists — and become [Built (-1)];
+   - empty under an enclosing ref's cut: it is itself [Empty_under], and
+     entries naming it now name that enclosing instance.
+   Every entry is settled at most once, and a rebuild follows only a ref
+   first found non-empty, so the cost stays polynomial in the component
+   size (re-exploring instead of memoizing is factorial in it). *)
 let build_span ?cs ?pool:p ?poll g s i0 j0 =
   let cs = match cs with Some cs -> cs | None -> Charsets.shared () in
   let ag = Charsets.annotate cs g in
@@ -167,6 +200,24 @@ let build_span ?cs ?pool:p ?poll g s i0 j0 =
   p.ne <- 0;
   p.nt <- 0;
   p.sp <- 0;
+  let depth = ref 0 and serial = ref 0 and np = ref 0 in
+  (* the shallowest open ref depth the current subtree assumed empty *)
+  let low = ref max_int in
+  let assume e =
+    p.stk.((3 * e) + 2) <- 1;
+    if e < !low then low := e
+  in
+  let rec resolve i =
+    let e = p.inst.(2 * i) in
+    if e < !depth && p.stk.(3 * e) = i then e else resolve p.inst.((2 * i) + 1)
+  in
+  let settle mark f =
+    for q = mark to !np - 1 do
+      let k = p.prov.(q) in
+      match Tbl.find_opt p.memo k with Some (Empty_under _) -> f k | _ -> ()
+    done;
+    np := mark
+  in
   let rec go (a : Charsets.ann) i j =
     if not (Charsets.admits a.ainfo s i j) then -1
     else
@@ -236,16 +287,49 @@ let build_span ?cs ?pool:p ?poll g s i0 j0 =
         | Some (Built id) ->
           Probe.bump c_memo_hit;
           id
-        | Some Building -> -1 (* ε-cycle cut, as in the seed engines *)
+        | Some (Empty_under inst) ->
+          Probe.bump c_memo_hit;
+          assume (resolve inst);
+          -1
+        | Some (Building e) ->
+          assume e;
+          -1
         | None ->
           Probe.bump c_memo_miss;
-          Tbl.replace p.memo key Building;
+          let d = !depth and me = !serial in
+          incr serial;
+          p.stk <- grow p.stk ((3 * d) + 2) 0;
+          p.inst <- grow p.inst ((2 * me) + 1) 0;
+          p.stk.(3 * d) <- me;
+          p.stk.((3 * d) + 1) <- !np;
+          p.stk.((3 * d) + 2) <- 0;
+          p.inst.(2 * me) <- d;
+          p.inst.((2 * me) + 1) <- -1;
+          Tbl.replace p.memo key (Building d);
+          let outer = !low in
+          low := max_int;
+          depth := d + 1;
           let bn = go (Charsets.ref_body cs r) i j in
+          depth := d;
           let id =
             if bn < 0 then -1
             else node p (LRoll (Grammar.def_name r.Charsets.rdef)) ~arity:1 bn
           in
-          Tbl.replace p.memo key (Built id);
+          let l = !low and mark = p.stk.((3 * d) + 1) in
+          if id < 0 && l < d then begin
+            let up = p.stk.(3 * l) in
+            p.inst.((2 * me) + 1) <- up;
+            Tbl.replace p.memo key (Empty_under up);
+            p.prov <- grow p.prov !np 0;
+            p.prov.(!np) <- key;
+            incr np
+          end
+          else begin
+            Tbl.replace p.memo key (Built id);
+            if id < 0 then settle mark (fun k -> Tbl.replace p.memo k (Built (-1)))
+            else if p.stk.((3 * d) + 2) = 1 then settle mark (Tbl.remove p.memo)
+          end;
+          low := min outer l;
           id)
   in
   let root = go ag i0 j0 in

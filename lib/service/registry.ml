@@ -143,6 +143,11 @@ let compile ?(cyk_nt_budget = default_cyk_nt_budget) cfg =
    ever hammer one grammar at once, and merely re-allocates beyond it. *)
 let scratch_cap = 8
 
+(* A bundle whose Earley scratch grew past this many positions (a long
+   session or one-shot input) is dropped rather than parked: the pool
+   would otherwise hold its chart arrays for good. *)
+let scratch_max_positions = 65536
+
 (* Long-lived checkout for incremental sessions: the bundle leaves the
    pool until {!give_scratch} returns it (session close or eviction),
    and counts as [out] the whole time so the scratch gauge reflects
@@ -168,7 +173,10 @@ let take_scratch a =
 let give_scratch a sc =
   Mutex.protect a.pool.pmu (fun () ->
       a.pool.out <- a.pool.out - 1;
-      if a.pool.avail < scratch_cap then begin
+      if
+        a.pool.avail < scratch_cap
+        && Earley.scratch_positions sc.es <= scratch_max_positions
+      then begin
         a.pool.free <- sc :: a.pool.free;
         a.pool.avail <- a.pool.avail + 1
       end)

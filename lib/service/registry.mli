@@ -90,8 +90,14 @@ val take_scratch : artifact -> scratch
 
 val give_scratch : artifact -> scratch -> unit
 (** Return a bundle obtained by {!take_scratch}.  Must be called exactly
-    once per checkout; the bundle is parked for reuse (or dropped beyond
-    the pool cap). *)
+    once per checkout; the bundle is parked for reuse, or dropped beyond
+    the pool cap or when its Earley scratch is laid out for more than
+    {!scratch_max_positions} positions. *)
+
+val scratch_max_positions : int
+(** The largest {!Lambekd_cfg.Earley.scratch_positions} a pooled bundle
+    may keep: a closed long session or a long one-shot input must not
+    park its chart in the pool for good. *)
 
 val digest_cfg : Lambekd_cfg.Cfg.t -> string
 (** Hex digest of the canonical structural rendering (start symbol plus

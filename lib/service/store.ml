@@ -305,13 +305,20 @@ let enforce_caps t =
       in
       evict (List.length es) total (List.rev es))
 
+(* temp names are unique per save within a process, not only per pid:
+   domains share the pid, and two of them truncating one temp file
+   could rename a torn mix of both into place *)
+let tmp_seq = Atomic.make 0
+
 let save t ~digest payload =
   let final = path_of t digest in
-  (* pid-tagged temp name: two processes racing on the same digest
-     each rename their own complete file, and last writer wins *)
+  (* pid- and sequence-tagged temp name: writers racing on the same
+     digest, processes or domains, each rename their own complete file,
+     and last writer wins *)
   let tmp =
     Filename.concat t.root
-      (Printf.sprintf ".%s.tmp.%d" digest (Unix.getpid ()))
+      (Printf.sprintf ".%s.tmp.%d.%d" digest (Unix.getpid ())
+         (Atomic.fetch_and_add tmp_seq 1))
   in
   match
     let fd =

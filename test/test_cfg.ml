@@ -1036,24 +1036,50 @@ let test_earley_session_abort_recovers () =
   check_session_state comp es w ch
 
 (* Random edit scripts, every step compared against a from-scratch run —
-   the engine-level mirror of the service's --paranoid oracle. *)
+   the engine-level mirror of the service's --paranoid oracle: accepts,
+   size and the first-found tree.  The grammars are three fixed ones
+   plus one drawn from {!random_cfg}.  Odd seeds run every session on a
+   scratch last used by a grammar with a different nonterminal count,
+   so a stale stride cannot leak into the chart; seeds with bit 1 set
+   abort a feed by [poll] before some steps. *)
 let prop_session_differential =
+  (* five nonterminals: more than any grammar the sessions run *)
+  let wide =
+    Earley.compile
+      (Cfg.make ~start:"V"
+         ~productions:
+           [ ("V", [ Cfg.N "W" ]); ("W", [ Cfg.N "X"; Cfg.T 'a' ]);
+             ("X", [ Cfg.N "Y" ]); ("Y", [ Cfg.N "Z"; Cfg.N "Y" ]);
+             ("Y", []); ("Z", [ Cfg.T 'b' ]) ])
+  in
   let gen =
     QCheck.make
-      ~print:(fun ops ->
-        String.concat ";"
-          (List.map (fun (a, d, s) -> Fmt.str "(%d,%d,%S)" a d s) ops))
+      ~print:(fun (seed, ops) ->
+        Fmt.str "seed %d: %s" seed
+          (String.concat ";"
+             (List.map (fun (a, d, s) -> Fmt.str "(%d,%d,%S)" a d s) ops)))
       QCheck.Gen.(
-        list_size (1 -- 12)
-          (triple (0 -- 20) (0 -- 6)
-             (string_size ~gen:(oneofl [ '('; ')'; 'a'; 'b' ]) (0 -- 6))))
+        pair (int_bound 1_000_000)
+          (list_size (1 -- 12)
+             (triple (0 -- 20) (0 -- 6)
+                (string_size ~gen:(oneofl [ '('; ')'; 'a'; 'b' ]) (0 -- 6)))))
   in
+  let tree = Option.map (fun t -> P.to_string (Earley.tree_to_ptree t)) in
   QCheck.Test.make ~name:"session edits agree with from-scratch runs" ~count:60
-    gen (fun script ->
+    gen (fun (seed, script) ->
+      let rng = Random.State.make [| seed; 0x5e55 |] in
       List.for_all
         (fun cfg ->
           let comp = Earley.compile cfg in
-          let es = Earley.session comp in
+          let scratch =
+            if seed land 1 = 0 then None
+            else begin
+              let sc = Earley.scratch () in
+              ignore (Earley.run_compiled ~scratch:sc wide "bbbbbba");
+              Some sc
+            end
+          in
+          let es = Earley.session ?scratch comp in
           let buf = ref "" in
           List.for_all
             (fun (at, del, ins) ->
@@ -1061,12 +1087,59 @@ let prop_session_differential =
               let at = min at n in
               let del = min del (n - at) in
               buf := splice !buf at del ins;
+              if seed land 2 <> 0 && Random.State.bool rng then begin
+                let left = ref (Random.State.int rng 8) in
+                let poll () = if !left = 0 then raise Exit else decr left in
+                try ignore (Earley.feed ~poll es !buf) with Exit -> ()
+              end;
               let ch = Earley.feed es !buf in
               let fresh = Earley.run_compiled comp !buf in
               Bool.equal (Earley.accepts fresh) (Earley.accepts ch)
-              && Earley.size fresh = Earley.size ch)
+              && Earley.size fresh = Earley.size ch
+              && tree (Earley.parse_tree fresh) = tree (Earley.parse_tree ch))
             script)
-        [ dyck_cfg; hard; right_rec ])
+        [ dyck_cfg; hard; right_rec; random_cfg rng ])
+
+(* What a session retains: built by appends to 4 KiB, a dyck or a
+   right-recursive expr_plain session holds at most 40 words per buffer
+   byte (a few words per item, no table per position), and 256 further
+   one-byte appends allocate at most 64 major-heap words per buffer
+   byte in all — most of it the buffer copies themselves, since an
+   append touches only the new sets. *)
+let test_earley_session_retained_memory () =
+  let expr_plain =
+    Cfg.make ~start:"E"
+      ~productions:
+        [ ("E", [ Cfg.N "A" ]); ("E", [ Cfg.N "A"; Cfg.T '+'; Cfg.N "E" ]);
+          ("A", [ Cfg.T 'n' ]); ("A", [ Cfg.T '('; Cfg.N "E"; Cfg.T ')' ]) ]
+  in
+  List.iter
+    (fun (name, cfg, unit) ->
+      let es = Earley.session (Earley.compile cfg) in
+      let buf = ref "" in
+      let append s =
+        buf := !buf ^ s;
+        ignore (Earley.accepts (Earley.feed es !buf))
+      in
+      while String.length !buf < 4096 do
+        append unit
+      done;
+      let n = String.length !buf in
+      let words = Obj.reachable_words (Obj.repr es) in
+      if words > 40 * n then
+        Alcotest.failf "%s: session retains %d words for %d bytes (%.1f/byte)"
+          name words n
+          (float words /. float n);
+      let major () = (Gc.quick_stat ()).Gc.major_words in
+      let before = major () in
+      for i = 1 to 256 do
+        append (String.make 1 unit.[i mod String.length unit])
+      done;
+      let grown = major () -. before in
+      if grown > float (64 * n) then
+        Alcotest.failf "%s: 256 appends allocated %.0f major words (%.1f x n)"
+          name grown (grown /. float n))
+    [ ("dyck", dyck_cfg, "(()"); ("expr_plain", expr_plain, "n+") ]
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -1128,3 +1201,5 @@ let suite =
     ("ll1 stack automaton parser", `Quick, test_ll1_automaton_parser);
     ("ll1 stack encoding", `Quick, test_ll1_automaton_stack_encoding) ]
   @ qcheck_tests
+  @ [ ("earley session retained memory", `Quick,
+       test_earley_session_retained_memory) ]

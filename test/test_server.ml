@@ -611,9 +611,21 @@ let test_tcp_sessions_span_connections () =
   write_all c1
     ({|{"id":"o","op":"session_open","grammar":"dyck"}|} ^ "\n"
     ^ {|{"id":"a","op":"append","session":"s0","chunk":"(()"}|} ^ "\n");
-  (match recv_line c1 with
+  (* both answers come through one reader: the first read may buffer
+     the second line.  The append must be answered before conn 2's
+     append is sent, or the two could be routed in either order. *)
+  let rdr = Server.reader c1 in
+  let next () =
+    match Server.read_line rdr ~max_bytes:(1 lsl 20) with
+    | Server.Line l -> Some l
+    | Server.Oversized _ | Server.Eof -> None
+  in
+  (match next () with
   | Some l -> check_bool "opened on conn 1" true (contains l {|"session":"s0"|})
   | None -> Alcotest.fail "no open response");
+  (match next () with
+  | Some l -> check_bool "appended on conn 1" true (contains l {|"len":3|})
+  | None -> Alcotest.fail "no append response");
   Unix.close c1;
   (* connection 2 picks the same session up: the table is shared *)
   let c2 = connect port in

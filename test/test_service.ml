@@ -1177,6 +1177,28 @@ let test_registry_stats () =
   check_int "scratch checked back in" 0 s.Registry.scratch_out;
   check_bool "scratch parked" true (s.Registry.scratch_free >= 1)
 
+(* A bundle is re-pooled only while its Earley scratch is small: a
+   closed 256 KiB session's chart is dropped, a 5 KiB one is kept. *)
+let test_scratch_pool_drops_oversized () =
+  let reg = Registry.create () in
+  let art, _ = Registry.get reg (Option.get (Builtin.find "dyck")) in
+  let session_bundle bytes =
+    let b = Registry.take_scratch art in
+    let es =
+      Lambekd_cfg.Earley.session ~scratch:b.Registry.es art.Registry.earley
+    in
+    let w = String.concat "" (List.init (bytes / 2) (fun _ -> "()")) in
+    check_bool "session accepts" true
+      (Lambekd_cfg.Earley.accepts (Lambekd_cfg.Earley.feed es w));
+    b
+  in
+  let big = session_bundle (256 * 1024) in
+  Registry.give_scratch art big;
+  check_int "256 KiB bundle dropped" 0 (Registry.stats reg).Registry.scratch_free;
+  let small = session_bundle (5 * 1024) in
+  Registry.give_scratch art small;
+  check_int "5 KiB bundle kept" 1 (Registry.stats reg).Registry.scratch_free
+
 (* Satellite: trace determinism.  The same traced stream through the
    serial reference and a 4-domain scheduler — the service side under a
    committed fault schedule — must render byte-identically with times
@@ -1743,4 +1765,6 @@ let suite =
     Alcotest.test_case "scheduler: 0 domains answers before submit returns"
       `Quick test_scheduler_inline;
     Alcotest.test_case "fuzz: an internal error fails the round" `Quick
-      test_fuzz_internal_error ]
+      test_fuzz_internal_error;
+    Alcotest.test_case "registry: oversized scratch not re-pooled" `Quick
+      test_scratch_pool_drops_oversized ]

@@ -260,6 +260,55 @@ let qcheck_accepts_differential =
         (fun w -> Chart.accepts (Chart.build g w) = Enum.accepts g w)
         (List.init 4 (fun _ -> random_word rng)))
 
+(* A same-span cycle cut must not be memoized as emptiness: building
+   N1(0,0) visits N2(0,0) while N1 is still open, and N2's only
+   derivation (N2 → N1 → ε) goes through that open ref.  Settling
+   N2(0,0) as empty there would lose N0 → N1 N1 N2. *)
+let test_chart_cut_not_memoized () =
+  let cfg =
+    Cfg.make ~start:"N0"
+      ~productions:
+        [ ("N0", [ Cfg.N "N1"; Cfg.N "N1"; Cfg.N "N2" ]);
+          ("N0", [ Cfg.T 'a'; Cfg.T 'b'; Cfg.T 'a' ]);
+          ("N1", []);
+          ("N1", [ Cfg.N "N2"; Cfg.N "N0"; Cfg.N "N1" ]);
+          ("N2", [ Cfg.N "N0"; Cfg.T 'a'; Cfg.N "N0" ]);
+          ("N2", [ Cfg.N "N1" ]) ]
+  in
+  let g = Cfg.to_grammar cfg in
+  check_bool "Enum accepts the empty word" true (Enum.accepts g "");
+  check_bool "Earley accepts the empty word" true
+    (Lambekd_cfg.Earley.recognizes cfg "");
+  let h = Chart.build g "" in
+  check_bool "chart accepts the empty word" true (Chart.accepts h);
+  check_bool "chart counts a derivation" true (Chart.count h > 0);
+  (* twelve mutually unit-recursive refs, admitted over "aa" yet empty
+     there: every order of visiting them is a different cut pattern, and
+     re-exploring per visit instead of recording the cut-dependent
+     emptiness takes 12! steps *)
+  let k = 12 in
+  let nt i = Fmt.str "N%d" i in
+  let productions =
+    List.concat_map
+      (fun i ->
+        ((nt i, [ Cfg.T 'a'; Cfg.T 'b' ]) :: (nt i, [ Cfg.T 'b'; Cfg.T 'a' ])
+        :: List.filter_map
+             (fun j -> if j = i then None else Some (nt i, [ Cfg.N (nt j) ]))
+             (List.init k Fun.id)))
+      (List.init k Fun.id)
+  in
+  let g = Cfg.to_grammar (Cfg.make ~start:"N0" ~productions) in
+  let was_enabled = Probe.enabled () in
+  Probe.enable ();
+  let misses = Probe.counter "enum.memo_miss" in
+  let before = Probe.value misses in
+  check_bool "unit cycles over \"aa\" are empty" false
+    (Chart.accepts (Chart.build g "aa"));
+  let built = Probe.value misses - before in
+  if not was_enabled then Probe.disable ();
+  if built > k * k then
+    Alcotest.failf "%d ref builds for %d cyclic refs (bound %d)" built k (k * k)
+
 let qcheck_kbest_properties =
   QCheck.Test.make
     ~name:"kbest: non-increasing, k=1 = viterbi, length = min k count"
@@ -631,3 +680,5 @@ let suite =
         qcheck_count_oracle;
         qcheck_kbest_properties;
         qcheck_intern_transparent ]
+  @ [ Alcotest.test_case "chart: a cycle cut is not memoized as empty" `Quick
+        test_chart_cut_not_memoized ]
