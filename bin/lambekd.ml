@@ -430,10 +430,11 @@ let store_term =
           ~env:(Cmd.Env.info Sv.Store.env_var)
           ~doc:
             "Persistent on-disk artifact store: every compiled grammar is \
-             written (crash-safely) to $(docv), and later boots load \
-             entries back instead of recompiling — cold start ≈ warm \
-             start.  The store is invisible in responses: verdict bytes \
-             are identical with it present, absent, corrupted or \
+             written (crash-safely) to $(docv), and a later process \
+             serves each grammar's first request by loading its entry \
+             instead of recompiling — cold start ≈ warm start.  The \
+             store is invisible in responses: verdict bytes are \
+             identical with it present, absent, corrupted or \
              mid-eviction.  Entries are validated (format version, \
              build fingerprint, checksum, structural digest) and any \
              failure falls back to a fresh compile.")
@@ -468,33 +469,18 @@ let open_store (dir, max_entries, max_bytes) =
   | Some dir ->
     Result.map Option.some (Sv.Store.open_root ~max_entries ~max_bytes dir)
 
-(* Boot-time warm start: lift the store's MRU entries into the in-memory
-   LRU so the first request against each is an in-memory hit. *)
-let preload_store registry =
-  match Sv.Registry.store registry with
-  | None -> ()
-  | Some st ->
-    let n = Sv.Registry.preload registry in
-    (* Logs.info, not Logs.app: app-level goes to stdout, which in
-       stdio-serve and batch modes is the NDJSON response stream *)
-    Logs.info (fun m ->
-        m "preloaded %d artifact(s) from store %s" n (Sv.Store.root st))
-
-let store_gauges stats =
-  List.iter
-    (fun (name, f) -> T.Metrics.gauge name (fun () -> float_of_int (f ())))
-    [ ("lambekd_store_entries",
-       fun () -> (stats ()).Sv.Registry.store_entries);
-      ("lambekd_store_bytes", fun () -> (stats ()).Sv.Registry.store_bytes);
-      ("lambekd_store_hits", fun () -> (stats ()).Sv.Registry.store_hits);
-      ("lambekd_store_misses",
-       fun () -> (stats ()).Sv.Registry.store_misses);
-      ("lambekd_store_writes",
-       fun () -> (stats ()).Sv.Registry.store_writes);
-      ("lambekd_store_invalid",
-       fun () -> (stats ()).Sv.Registry.store_invalid);
-      ("lambekd_store_evictions",
-       fun () -> (stats ()).Sv.Registry.store_evictions) ]
+let store_gauges st =
+  let gauge name f =
+    T.Metrics.gauge name (fun () ->
+        float_of_int (f (Sv.Store.stats st : Sv.Store.stats)))
+  in
+  gauge "lambekd_store_entries" (fun s -> s.s_entries);
+  gauge "lambekd_store_bytes" (fun s -> s.s_bytes);
+  gauge "lambekd_store_hits" (fun s -> s.s_hits);
+  gauge "lambekd_store_misses" (fun s -> s.s_misses);
+  gauge "lambekd_store_writes" (fun s -> s.s_writes);
+  gauge "lambekd_store_invalid" (fun s -> s.s_invalid);
+  gauge "lambekd_store_evictions" (fun s -> s.s_evictions)
 
 (* --- flags shared by serve and batch --------------------------------------- *)
 
@@ -567,13 +553,12 @@ let service_term =
     $ domains $ queue_cap $ artifact_cap $ result_cap $ no_times)
 
 (* The scheduler both front ends serve from, over a registry that is
-   store-backed and preloaded when a store is open. *)
+   store-backed when a store is open. *)
 let start_service o store =
   let registry =
     Sv.Registry.create ~artifact_cap:o.artifact_cap ~result_cap:o.result_cap
       ?store ()
   in
-  preload_store registry;
   Sv.Scheduler.create ?domains:o.domains ~queue_cap:o.queue_cap ~registry ()
 
 let serve_cmd =
@@ -615,7 +600,7 @@ let serve_cmd =
         float_of_int (stats ()).Sv.Registry.scratch_free);
     T.Metrics.gauge "lambekd_sessions" (fun () ->
         float_of_int (Sv.Session.live sessions));
-    if Option.is_some store then store_gauges stats;
+    Option.iter store_gauges store;
     (* the slow-request log: JSON lines on stderr, one writer mutex so
        worker threads never interleave bytes *)
     let slow =
@@ -1037,17 +1022,12 @@ let warm_cmd =
       let reg = Sv.Registry.create ~store:st () in
       let failed = ref 0 in
       let malformed = ref false in
-      (* one grammar: compile (write-through to the store), prewarm its
-         default weight table into the bundle, and re-persist so the
-         table rides along — the first weighted request after a restart
-         then skips normalization too *)
-      let warm_one name cfg default_weights =
+      (* one grammar: compile or load it (a compile writes through to
+         the store), then persist once more so a failed write surfaces
+         here instead of being swallowed by the request path *)
+      let warm_one name cfg =
         let t0 = Unix.gettimeofday () in
         let a, outcome = Sv.Registry.get reg cfg in
-        (match Sv.Registry.weights a default_weights with
-        | Ok _ -> ()
-        | Error msg ->
-          Fmt.epr "lambekd: %s: default weights rejected: %s@." name msg);
         if not (Sv.Registry.persist reg a) then begin
           incr failed;
           Fmt.epr "lambekd: %s: store write failed@." name
@@ -1063,9 +1043,7 @@ let warm_cmd =
       in
       List.iter
         (fun name ->
-          warm_one name
-            (Option.get (Sv.Builtin.find name))
-            (Sv.Builtin.default_weights name))
+          warm_one name (Option.get (Sv.Builtin.find name)))
         Sv.Builtin.names;
       (* --grammar FILE: one inline grammar object per line, the same
          {"start":...,"prods":[...]} shape the wire grammar field takes *)
@@ -1099,7 +1077,7 @@ let warm_cmd =
                     Fmt.epr "lambekd: %s:%d: %s@." file (i + 1) msg
                   | Ok cfg ->
                     warm_one (Fmt.str "%s:%d" (Filename.basename file) (i + 1))
-                      cfg None)
+                      cfg)
               lines)
         grammar_files;
       let s = Sv.Store.stats st in
@@ -1122,10 +1100,12 @@ let warm_cmd =
        ~doc:
          "Precompile grammars into the persistent artifact store: every \
           builtin (plus any $(b,--grammar) file's inline grammars) is \
-          compiled, its default weight table normalized, and the bundle \
-          written to the store — so the next $(b,serve) or $(b,batch) \
-          boot against the same store starts warm.  Safe to run while a \
-          server is live: writes are atomic and last-writer-wins.")
+          compiled and written to the store (weight tables are not \
+          stored: each process normalizes its own) — so a later \
+          $(b,serve) or $(b,batch) against the same store loads each \
+          grammar on its first request instead of compiling it.  Safe \
+          to run while a server is live: writes are atomic and \
+          last-writer-wins.")
     Term.(const run $ common_term $ store_term $ grammar_files)
 
 let grammars_cmd =
@@ -1184,14 +1164,12 @@ let grammars_cmd =
       (match store with
       | None -> ()
       | Some s ->
+        let ss = Sv.Store.stats s in
         Fmt.pr "store:          %d entries, %d bytes on disk (%s)@."
-          st.Sv.Registry.store_entries st.Sv.Registry.store_bytes
-          (Sv.Store.root s);
+          ss.s_entries ss.s_bytes (Sv.Store.root s);
         Fmt.pr "store traffic:  %d hits / %d misses, %d writes, %d \
                 invalid, %d evictions@."
-          st.Sv.Registry.store_hits st.Sv.Registry.store_misses
-          st.Sv.Registry.store_writes st.Sv.Registry.store_invalid
-          st.Sv.Registry.store_evictions);
+          ss.s_hits ss.s_misses ss.s_writes ss.s_invalid ss.s_evictions);
       0
     end
   in

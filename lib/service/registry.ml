@@ -29,7 +29,6 @@ type artifact = {
   digest : string;
   grammar : Lambekd_grammar.Grammar.t;
   cs : Charsets.t;
-  ff : First_follow.t;
   ll1 : Ll1.table option;
   slr : Slr.table option;
   earley : Earley.compiled;
@@ -119,7 +118,6 @@ let compile ?(cyk_nt_budget = default_cyk_nt_budget) cfg =
       let grammar = Cfg.to_grammar cfg in
       let cs = Charsets.create () in
       warm cs (Charsets.annotate cs grammar);
-      let ff = First_follow.compute cfg in
       let ll1 = Result.to_option (Ll1.build cfg) in
       let slr = Result.to_option (Slr.build cfg) in
       let earley = Earley.compile cfg in
@@ -134,7 +132,7 @@ let compile ?(cyk_nt_budget = default_cyk_nt_budget) cfg =
       let intern = Lambekd_grammar.Enum.intern ~cs grammar in
       let pool = { pmu = Mutex.create (); free = []; avail = 0; out = 0 } in
       let compile_ns = Clock.now_ns () -. t0 in
-      { cfg; digest; grammar; cs; ff; ll1; slr; earley; cnf; cnf_nts;
+      { cfg; digest; grammar; cs; ll1; slr; earley; cnf; cnf_nts;
         cyk_nt_budget; intern; pool; wmu = Mutex.create (); wtables = [];
         compile_ns })
 
@@ -248,23 +246,21 @@ let weights (a : artifact) raw =
    the charsets/intern state is keyed by) survives marshalling because
    the whole bundle is one value.
 
+   Only the compile output is persisted: weight tables are normalized
+   again in each process, and the bundle shape needs no version of its
+   own because the store's binary token already marks every entry from
+   another build as stale.
+
    Nothing decoded is trusted: [decode_artifact] re-derives the
    structural digest from the decoded grammar and compares it to the
-   digest the entry claims to be, and rejects bundles compiled under a
-   different CYK binarization budget (the budget decides whether [cyk]
-   pins are servable, which must not depend on who compiled). *)
-
-let persist_format = 1
-(* bumped with any change to [persisted] or the types it reaches;
-   [Store.format_version] guards the framing, this guards the bundle *)
+   digest the entry is filed under, and rejects bundles compiled under
+   a different CYK binarization budget (the budget decides whether
+   [cyk] pins are servable, which must not depend on who compiled). *)
 
 type persisted = {
-  p_format : int;
-  p_digest : string;
   p_cfg : Cfg.t;
   p_grammar : Lambekd_grammar.Grammar.t;
   p_cs : Charsets.t;
-  p_ff : First_follow.t;
   p_ll1 : Ll1.table option;
   p_slr : Slr.table option;
   p_earley : Earley.compiled;
@@ -272,18 +268,14 @@ type persisted = {
   p_cnf_nts : int;
   p_cyk_nt_budget : int;
   p_intern : Lambekd_grammar.Enum.intern;
-  p_wtables : (string * Weights.t) list;
   p_compile_ns : float;
 }
 
 let encode_artifact (a : artifact) =
   let p =
-    { p_format = persist_format;
-      p_digest = a.digest;
-      p_cfg = a.cfg;
+    { p_cfg = a.cfg;
       p_grammar = a.grammar;
       p_cs = a.cs;
-      p_ff = a.ff;
       p_ll1 = a.ll1;
       p_slr = a.slr;
       p_earley = a.earley;
@@ -291,7 +283,6 @@ let encode_artifact (a : artifact) =
       p_cnf_nts = a.cnf_nts;
       p_cyk_nt_budget = a.cyk_nt_budget;
       p_intern = a.intern;
-      p_wtables = Mutex.protect a.wmu (fun () -> a.wtables);
       p_compile_ns = a.compile_ns }
   in
   Marshal.to_string p [ Marshal.Closures ]
@@ -300,11 +291,7 @@ let decode_artifact ~digest ~cyk_nt_budget payload : artifact option =
   match (Marshal.from_string payload 0 : persisted) with
   | exception _ -> None
   | p ->
-    if
-      p.p_format <> persist_format
-      || p.p_digest <> digest
-      || p.p_cyk_nt_budget <> cyk_nt_budget
-      || digest_cfg p.p_cfg <> digest
+    if p.p_cyk_nt_budget <> cyk_nt_budget || digest_cfg p.p_cfg <> digest
     then None
     else
       Some
@@ -312,7 +299,6 @@ let decode_artifact ~digest ~cyk_nt_budget payload : artifact option =
           digest;
           grammar = p.p_grammar;
           cs = p.p_cs;
-          ff = p.p_ff;
           ll1 = p.p_ll1;
           slr = p.p_slr;
           earley = p.p_earley;
@@ -322,7 +308,7 @@ let decode_artifact ~digest ~cyk_nt_budget payload : artifact option =
           intern = p.p_intern;
           pool = { pmu = Mutex.create (); free = []; avail = 0; out = 0 };
           wmu = Mutex.create ();
-          wtables = p.p_wtables;
+          wtables = [];
           compile_ns = p.p_compile_ns }
 
 (* --- registry ------------------------------------------------------------ *)
@@ -346,16 +332,7 @@ type t = {
   cyk_nt_budget : int;
   store : Store.t option;
       (** the persistent artifact store, when armed: probed on every
-          in-memory miss, rewritten after every compile *)
-  preloaded : (string, unit) Hashtbl.t;
-      (** digests lifted in by [preload] and not yet requested.  The
-          store must be invisible in responses, so a preloaded
-          artifact's {e first} request reports the [`Miss] a storeless
-          boot would have reported (while still skipping the compile);
-          this set marks which cache entries still owe that miss.
-          Guarded by [mu]; [pre_pending] lets the lock-free hit path
-          skip the lookup entirely once the set drains. *)
-  pre_pending : int Atomic.t;
+          in-memory miss, written after every compile *)
 }
 
 let create ?(artifact_cap = 64) ?(result_cap = 4096)
@@ -369,12 +346,16 @@ let create ?(artifact_cap = 64) ?(result_cap = 4096)
     r_hits = Atomic.make 0;
     r_misses = Atomic.make 0;
     cyk_nt_budget;
-    store;
-    preloaded = Hashtbl.create 16;
-    pre_pending = Atomic.make 0 }
+    store }
 
-let store t = t.store
 let tick c = ignore (Atomic.fetch_and_add c 1)
+
+(* The one write path into the store: [get] calls it after every
+   compile, [lambekd warm] to confirm each entry landed. *)
+let persist t (a : artifact) =
+  match t.store with
+  | None -> false
+  | Some st -> Store.save st ~digest:a.digest (encode_artifact a)
 
 let get ?trace t cfg =
   Fault.delay Fault.Registry_get;
@@ -388,26 +369,7 @@ let get ?trace t cfg =
     if degraded then None
     else List.assoc_opt digest (Atomic.get t.snap)
   in
-  (* a preloaded artifact's first request reports the [`Miss] a
-     storeless boot would have (the whole point of the store is skipping
-     the compile, not rewriting response metadata); drain the digest
-     from the preloaded set exactly once.  Called with [mu] held. *)
-  let preload_owed_miss_locked a =
-    if Hashtbl.mem t.preloaded digest then begin
-      Hashtbl.remove t.preloaded digest;
-      ignore (Atomic.fetch_and_add t.pre_pending (-1));
-      Probe.bump c_artifact_miss;
-      tick t.a_misses;
-      Option.iter (fun tr -> Trace.set_compile_ns tr a.compile_ns) trace;
-      true
-    end
-    else false
-  in
   match snap with
-  | Some a
-    when Atomic.get t.pre_pending > 0
-         && Mutex.protect t.mu (fun () -> preload_owed_miss_locked a) ->
-    (a, `Miss)
   | Some a ->
     Probe.bump c_artifact_hit;
     tick t.a_hits;
@@ -422,7 +384,6 @@ let get ?trace t cfg =
         (* double-check under the lock: another domain may have compiled
            this grammar while we were waiting *)
         match Lru.find t.artifacts digest with
-        | Some a when preload_owed_miss_locked a -> (a, `Miss)
         | Some a ->
           Probe.bump c_artifact_hit;
           tick t.a_hits;
@@ -466,60 +427,12 @@ let get ?trace t cfg =
               Option.iter
                 (fun tr -> Trace.set_compile_ns tr a.compile_ns)
                 trace;
-              Option.iter
-                (fun st ->
-                  ignore (Store.save st ~digest (encode_artifact a)))
-                t.store;
+              ignore (persist t a);
               a
           in
           Lru.put t.artifacts digest a;
           Atomic.set t.snap (Lru.bindings t.artifacts);
           (a, `Miss))
-
-(* Re-serialize an artifact into the store (no-op without one) — how
-   [lambekd warm] persists weight tables it prewarmed after the
-   compile-time write. *)
-let persist t (a : artifact) =
-  match t.store with
-  | None -> false
-  | Some st -> Store.save st ~digest:a.digest (encode_artifact a)
-
-(* Boot-time preload: lift the store's most-recently-used entries into
-   the in-memory LRU so the first request against each is a snapshot
-   hit, not even a store read.  Bounded by the artifact cap (preloading
-   past it would only evict what was just loaded). *)
-let preload ?limit t =
-  match t.store with
-  | None -> 0
-  | Some st ->
-    let cap = Lru.cap t.artifacts in
-    let limit = match limit with Some l -> min l cap | None -> cap in
-    let loaded = ref 0 in
-    Mutex.protect t.mu (fun () ->
-        let es =
-          List.filteri (fun i _ -> i < limit) (Store.entries st)
-        in
-        (* insert LRU-first so recency in the cache mirrors the store *)
-        List.iter
-          (fun (e : Store.entry) ->
-            let digest = e.Store.e_digest in
-            if Lru.find t.artifacts digest = None then
-              match
-                Store.load st ~digest
-                  ~decode:
-                    (decode_artifact ~digest
-                       ~cyk_nt_budget:t.cyk_nt_budget)
-              with
-              | Some a ->
-                Lru.put t.artifacts digest a;
-                (* owes its first requester a storeless-boot [`Miss] *)
-                Hashtbl.replace t.preloaded digest ();
-                incr loaded
-              | None -> ())
-          (List.rev es);
-        Atomic.set t.pre_pending (Hashtbl.length t.preloaded);
-        Atomic.set t.snap (Lru.bindings t.artifacts));
-    !loaded
 
 let find_result ?trace t ~digest ~key ~input =
   if Lru.cap t.results = 0 then None
@@ -564,13 +477,6 @@ type stats = {
   result_misses : int;
   scratch_free : int;
   scratch_out : int;
-  store_entries : int;
-  store_bytes : int;
-  store_hits : int;
-  store_misses : int;
-  store_writes : int;
-  store_invalid : int;
-  store_evictions : int;
 }
 
 let stats t =
@@ -591,12 +497,6 @@ let stats t =
         Mutex.protect p.pmu (fun () -> (free + p.avail, out + p.out)))
       (0, 0) pools
   in
-  let ss =
-    match t.store with
-    | None -> None
-    | Some st -> Some (Store.stats st)
-  in
-  let sf f = match ss with None -> 0 | Some s -> f s in
   { artifact_size;
     artifact_cap;
     artifact_evictions;
@@ -608,19 +508,10 @@ let stats t =
     result_hits = Atomic.get t.r_hits;
     result_misses = Atomic.get t.r_misses;
     scratch_free;
-    scratch_out;
-    store_entries = sf (fun s -> s.Store.s_entries);
-    store_bytes = sf (fun s -> s.Store.s_bytes);
-    store_hits = sf (fun s -> s.Store.s_hits);
-    store_misses = sf (fun s -> s.Store.s_misses);
-    store_writes = sf (fun s -> s.Store.s_writes);
-    store_invalid = sf (fun s -> s.Store.s_invalid);
-    store_evictions = sf (fun s -> s.Store.s_evictions) }
+    scratch_out }
 
 let clear t =
   Mutex.protect t.mu (fun () ->
       Lru.clear t.artifacts;
       Atomic.set t.snap [];
-      Hashtbl.reset t.preloaded;
-      Atomic.set t.pre_pending 0;
       Lru.clear t.results)

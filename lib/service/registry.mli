@@ -3,11 +3,15 @@
     A grammar arriving at the service is compiled into an immutable
     {!artifact} — everything the per-request engines would otherwise
     recompute: the grammar-model realization, a private {!Charsets}
-    pruning state warmed over the whole definition closure, the
-    nullable/FIRST/FOLLOW analysis, and the LL(1) and SLR(1) tables when
-    the grammar admits them.  Artifacts are keyed by a structural digest
-    of the grammar, so the same grammar sent inline by different clients
-    (or under different builtin names) compiles once.
+    pruning state warmed over the whole definition closure, the LL(1)
+    and SLR(1) tables when the grammar admits them, the Earley tables
+    and the binarized CYK form.  Artifacts are keyed by a structural
+    digest of the grammar, so the same grammar sent inline by different
+    clients (or under different builtin names) compiles once.
+
+    With a {!Store}, the registry is a write-through compile cache (see
+    {!create}): a restarted process loads each grammar on its first
+    request instead of compiling it.
 
     Two LRU caches, both guarded by one registry mutex:
     - artifact cache: digest → compiled artifact;
@@ -38,7 +42,6 @@ type artifact = private {
   grammar : Lambekd_grammar.Grammar.t;  (** [Cfg.to_grammar cfg] *)
   cs : Lambekd_grammar.Charsets.t;
       (** private pruning state, fully warmed at compile time *)
-  ff : Lambekd_cfg.First_follow.t;
   ll1 : Lambekd_cfg.Ll1.table option;
   slr : Lambekd_cfg.Slr.table option;
   earley : Lambekd_cfg.Earley.compiled;
@@ -57,7 +60,8 @@ type artifact = private {
   pool : scratch_pool;
   wmu : Mutex.t;
   mutable wtables : (string * Lambekd_weighted.Weights.t) list;
-      (** normalized weight-table cache; access through {!weights} *)
+      (** normalized weight-table cache, per process (never persisted);
+          access through {!weights} *)
   compile_ns : float;  (** wall-clock cost of this compilation *)
 }
 
@@ -123,32 +127,17 @@ val create :
 (** Defaults: 64 artifacts, 4096 results, 512 binarized nonterminals.
     A cap of 0 disables that cache.  With [?store], every in-memory
     artifact miss probes the persistent store before compiling
-    (validated load — see {!Store}), and every compile rewrites its
-    store entry; the store is invisible in responses (the wire
-    [artifact] field still reads "miss", verdict bytes are identical
-    with the store present, absent, corrupted or mid-eviction). *)
-
-val store : t -> Store.t option
-
-val preload : ?limit:int -> t -> int
-(** Lift the store's most-recently-used entries into the in-memory
-    artifact LRU (boot-time warm start), newest-recency ordering
-    preserved.  Bounded by [limit] and the artifact cap.  Returns the
-    number of artifacts loaded; 0 without a store.  Entries that fail
-    validation are dropped (and removed) exactly as on the request
-    path.
-
-    Invisibility: a preloaded artifact's {e first} {!get} reports
-    [`Miss] — the outcome a storeless boot would have reported — while
-    still skipping the compile; subsequent gets are [`Hit]s.  Response
-    bytes are therefore identical to a storeless run on any traffic,
-    preload or not. *)
+    (validated load — see {!Store}), and every compile writes its store
+    entry through {!persist}.  Nothing is loaded at creation.  The
+    store is invisible in responses: a load reports [`Miss] like the
+    compile it replaces, and verdict bytes are identical with the store
+    present, absent, corrupted or mid-eviction. *)
 
 val persist : t -> artifact -> bool
-(** Re-serialize an artifact into the store (false without one, or on
-    an I/O failure).  [lambekd warm] uses this to persist weight
-    tables prewarmed after the compile-time write; the request path
-    writes automatically on every compile. *)
+(** Write an artifact's compile output to the store (false without
+    one, or on an I/O failure) — the store's single write path: {!get}
+    calls it after every compile, and [lambekd warm] calls it again to
+    confirm each entry landed. *)
 
 val get : ?trace:Trace.t -> t -> Lambekd_cfg.Cfg.t -> artifact * [ `Hit | `Miss ]
 (** Fetch the artifact for a grammar, compiling on a miss.  The digest
@@ -187,15 +176,9 @@ type stats = {
   result_misses : int;
   scratch_free : int;  (** pooled scratch bundles parked across all artifacts *)
   scratch_out : int;  (** scratch bundles currently checked out *)
-  store_entries : int;  (** persistent-store occupancy; all 0 without a store *)
-  store_bytes : int;  (** total payload bytes on disk *)
-  store_hits : int;
-  store_misses : int;
-  store_writes : int;
-  store_invalid : int;  (** validation/decode failures (file removed) *)
-  store_evictions : int;  (** cap-enforcement deletions *)
 }
-(** A point-in-time snapshot of both caches and the scratch pools.  The
+(** A point-in-time snapshot of both caches and the scratch pools (the
+    persistent store reports its own: {!Store.stats}).  The
     hit/miss counters are registry-local and count since {!create}
     regardless of telemetry state (the Probe counters are process-global
     and gated); sizes are read under the registry lock, so the snapshot

@@ -349,9 +349,6 @@ let save t ~digest payload =
     Logs.debug (fun m -> m "store: write failed for %s" digest);
     false
 
-let remove t ~digest =
-  try Sys.remove (path_of t digest) with Sys_error _ -> ()
-
 (* --- stats ----------------------------------------------------------------- *)
 
 type stats = {

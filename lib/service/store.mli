@@ -37,8 +37,8 @@
 
     Counters ([store.hit] / [store.miss] / [store.write] /
     [store.invalid] probes, plus store-local counters that work with
-    telemetry disabled) feed [Registry.stats], the
-    [lambekd_store_*] metrics and [grammars --cache-stats]. *)
+    telemetry disabled) feed {!stats}, which the [lambekd_store_*]
+    metrics and [grammars --cache-stats] read directly. *)
 
 type t
 
@@ -47,9 +47,10 @@ val env_var : string
     given. *)
 
 val format_version : int
-(** Bumped whenever the header layout or the registry's persisted
-    bundle shape changes; entries with any other version are
-    garbage-collected, never decoded. *)
+(** Bumped whenever the header layout changes; entries with any other
+    version are garbage-collected, never decoded.  A change to the
+    payload shape ships in a new build, which {!binary_token} already
+    marks stale. *)
 
 val binary_token : unit -> string
 (** A fingerprint of the running executable (MD5 of the binary image,
@@ -93,9 +94,6 @@ val save : t -> digest:string -> string -> bool
     enforces the entry/byte caps by deleting the least-recently-used
     entries. *)
 
-val remove : t -> digest:string -> unit
-(** Delete an entry if present (idempotent). *)
-
 type entry = {
   e_digest : string;
   e_bytes : int;  (** payload bytes (header excluded) *)
@@ -103,8 +101,8 @@ type entry = {
 }
 
 val entries : t -> entry list
-(** Current valid-looking entries, most recently used first — the
-    boot-time preload order.  Reads headers only, never payloads. *)
+(** Current valid-looking entries, most recently used first.  Reads
+    headers only, never payloads. *)
 
 type stats = {
   s_entries : int;

@@ -13,7 +13,6 @@ module Exec = Sv.Exec
 module Scheduler = Sv.Scheduler
 module Builtin = Sv.Builtin
 module Cfg = Lambekd_cfg.Cfg
-module Ff = Lambekd_cfg.First_follow
 module Charsets = Lambekd_grammar.Charsets
 
 let check_bool = Alcotest.(check bool)
@@ -299,8 +298,8 @@ let info_string cs g = Fmt.str "%a" Charsets.pp_info (Charsets.info cs g)
 
 (* The 100-grammar differential: for random grammars, the artifact served
    from the registry cache must be indistinguishable from one compiled
-   fresh — same digest, same table existence, same FIRST/FOLLOW, same
-   charsets analysis, and same verdicts on random inputs. *)
+   fresh — same digest, same table existence, same charsets analysis,
+   and same verdicts on random inputs. *)
 let test_registry_differential () =
   let rng = Random.State.make [| 0x5e41ce |] in
   let reg = Registry.create ~artifact_cap:128 ~result_cap:0 () in
@@ -318,15 +317,6 @@ let test_registry_differential () =
       (Option.is_some fresh.Registry.ll1 = Option.is_some cached.Registry.ll1);
     check_bool "slr existence" true
       (Option.is_some fresh.Registry.slr = Option.is_some cached.Registry.slr);
-    List.iter
-      (fun n ->
-        check_bool "nullable" true
-          (Ff.nullable fresh.Registry.ff n = Ff.nullable cached.Registry.ff n);
-        check_bool "first" true
-          (Ff.first fresh.Registry.ff n = Ff.first cached.Registry.ff n);
-        check_bool "follow" true
-          (Ff.follow fresh.Registry.ff n = Ff.follow cached.Registry.ff n))
-      (Cfg.nonterminals cfg);
     check_string "charsets root analysis"
       (info_string fresh.Registry.cs fresh.Registry.grammar)
       (info_string cached.Registry.cs cached.Registry.grammar);

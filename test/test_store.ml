@@ -2,8 +2,8 @@
    byte-identical responses with the store enabled / disabled /
    corrupted / mid-eviction, corruption fallback (never a crash or a
    changed response), concurrent same-digest write races, cap
-   eviction, boot-time preload, and startup rejection of unusable
-   roots. *)
+   eviction, first-get loads after a restart, and startup rejection
+   of unusable roots. *)
 
 module Sv = Lambekd_service
 module Store = Sv.Store
@@ -95,31 +95,6 @@ let test_roundtrip () =
   let s = Store.stats st in
   check_bool "warm boot hit the store" true (s.Store.s_hits >= 4);
   check_int "no invalids" 0 s.Store.s_invalid
-
-(* weight tables persisted via [Registry.persist] survive the restart:
-   the warm boot serves a weighted request without re-normalizing *)
-let test_persist_weights () =
-  let st = open_store () in
-  let cfg = Option.get (Builtin.find "expr") in
-  let reg1 = Registry.create ~store:st () in
-  let a, _ = Registry.get reg1 cfg in
-  (match Registry.weights a (Builtin.default_weights "expr") with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "weights: %s" e);
-  check_bool "persist succeeds" true (Registry.persist reg1 a);
-  let reg2 = Registry.create ~store:st () in
-  let a2, _ = Registry.get reg2 cfg in
-  (* the reloaded bundle carries the normalized table: the lookup
-     succeeds and yields the same digest on both sides of the restart *)
-  (match
-     ( Registry.weights a (Builtin.default_weights "expr"),
-       Registry.weights a2 (Builtin.default_weights "expr") )
-   with
-  | Ok w1, Ok w2 ->
-    check_string "persisted weight table digest matches"
-      (Lambekd_weighted.Weights.digest w1)
-      (Lambekd_weighted.Weights.digest w2)
-  | _ -> Alcotest.fail "weights lookup failed")
 
 (* --- corruption ------------------------------------------------------------ *)
 
@@ -295,51 +270,32 @@ let test_eviction_by_bytes () =
   check_int "byte cap enforced" 0 s.Store.s_entries;
   check_bool "evictions counted" true (s.Store.s_evictions >= 2)
 
-(* --- preload ----------------------------------------------------------------- *)
+(* --- restart ------------------------------------------------------------------ *)
 
-let test_preload () =
+(* A restarted registry starts empty in memory: each grammar's first
+   get misses, is served by a store load (one store hit, no compile)
+   and reports the `Miss a storeless boot would have; the second get is
+   an in-memory `Hit. *)
+let test_restart () =
   let st = open_store () in
-  (* populate: every builtin *)
   let reg1 = Registry.create ~store:st () in
   List.iter
     (fun name -> ignore (Registry.get reg1 (Option.get (Builtin.find name))))
     Builtin.names;
-  let n_builtin = List.length Builtin.names in
   check_int "all builtins stored"
-    n_builtin (Store.stats st).Store.s_entries;
-  (* warm boot: preload fills the in-memory LRU.  The first get on each
-     entry reports the `Miss a storeless boot would have (store
-     invisibility), the second a true `Hit *)
+    (List.length Builtin.names) (Store.stats st).Store.s_entries;
   let reg2 = Registry.create ~store:st () in
-  let loaded = Registry.preload reg2 in
-  check_int "preload loads every entry" n_builtin loaded;
   List.iter
     (fun name ->
-      let _, first = Registry.get reg2 (Option.get (Builtin.find name)) in
-      check_bool (name ^ ": first get reports the storeless miss") true
-        (first = `Miss);
-      let _, second = Registry.get reg2 (Option.get (Builtin.find name)) in
-      check_bool (name ^ ": second get is an in-memory hit") true
-        (second = `Hit))
-    Builtin.names;
-  (* responses over a freshly preloaded boot are byte-identical to a
-     storeless cold boot — artifact hit/miss metadata included *)
-  let reg_pre = Registry.create ~result_cap:0 ~store:st () in
-  ignore (Registry.preload reg_pre);
-  check_bool "preloaded responses identical to storeless" true
-    (run_lines reg_pre traffic = reference_responses traffic);
-  (* a limit caps it *)
-  let reg3 = Registry.create ~store:st () in
-  check_int "limited preload" 2 (Registry.preload ~limit:2 reg3)
-
-let test_preload_respects_cap () =
-  let st = open_store () in
-  let reg1 = Registry.create ~store:st () in
-  List.iter
-    (fun name -> ignore (Registry.get reg1 (Option.get (Builtin.find name))))
-    Builtin.names;
-  let reg2 = Registry.create ~artifact_cap:3 ~store:st () in
-  check_int "preload bounded by the artifact cap" 3 (Registry.preload reg2)
+      let cfg = Option.get (Builtin.find name) in
+      let hits = (Store.stats st).Store.s_hits in
+      let _, first = Registry.get reg2 cfg in
+      check_bool (name ^ ": first get misses") true (first = `Miss);
+      check_int (name ^ ": first get loads from the store") (hits + 1)
+        (Store.stats st).Store.s_hits;
+      let _, second = Registry.get reg2 cfg in
+      check_bool (name ^ ": second get hits") true (second = `Hit))
+    Builtin.names
 
 (* --- startup validation -------------------------------------------------------- *)
 
@@ -421,8 +377,6 @@ let test_corpus_store_armed () =
 let suite =
   [ Alcotest.test_case "store: artifact round trip across restarts" `Quick
       test_roundtrip;
-    Alcotest.test_case "store: persisted weight tables survive" `Quick
-      test_persist_weights;
     Alcotest.test_case "store: flipped payload byte falls back" `Quick
       test_corrupt_flip_byte;
     Alcotest.test_case "store: truncated entry falls back" `Quick
@@ -443,10 +397,8 @@ let suite =
       test_eviction_by_count;
     Alcotest.test_case "store: eviction by byte budget" `Quick
       test_eviction_by_bytes;
-    Alcotest.test_case "store: boot preload fills the LRU" `Quick
-      test_preload;
-    Alcotest.test_case "store: preload respects the artifact cap" `Quick
-      test_preload_respects_cap;
+    Alcotest.test_case "store: restart loads on first get" `Quick
+      test_restart;
     Alcotest.test_case "store: non-directory root rejected" `Quick
       test_open_rejects_file_root;
     Alcotest.test_case "store: nested root created" `Quick
