@@ -520,9 +520,9 @@ let service_term =
       & opt int 64
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:
-            "Bound on queued requests.  When the queue is full, $(b,serve) \
-             sheds new requests with an $(i,overloaded) response carrying \
-             a retry hint; $(b,batch) waits for room.")
+            "Bound on queued requests.  When the queue is full, the reader \
+             waits for room before it reads the next line, so a burst \
+             waits in the socket, pipe or file instead of being refused.")
   in
   let artifact_cap =
     Arg.(
@@ -792,11 +792,10 @@ let batch_cmd =
             Sv.Scheduler.shutdown sched;
             Unix.close fd)
         @@ fun () ->
-        (* the serve loop over the file: admission waits for queue room
-           instead of shedding, and no line is too long *)
+        (* the serve loop over the file; no line is too long *)
         status_exit
-          (Sv.Server.serve_lines ~max_line_bytes:max_int ~admission:`Block
-             ~sched ~times:opts.times (Sv.Server.fd_source fd)
+          (Sv.Server.serve_lines ~max_line_bytes:max_int ~sched
+             ~times:opts.times (Sv.Server.fd_source fd)
              (Sv.Server.fd_sink Unix.stdout)))
   in
   let file =
@@ -807,7 +806,6 @@ let batch_cmd =
        ~doc:
          "Run a file of NDJSON requests through the serve loop and print \
           one response line per request, in order.  Unlike $(b,serve), \
-          a full queue makes the reader wait instead of shedding, and \
           lines have no length cap.")
     Term.(const run $ common_term $ service_term $ file $ store_term)
 

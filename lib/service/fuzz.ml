@@ -305,9 +305,9 @@ let gen_lines ~seed ~requests =
 
 (* --- replays: the serve loop over a list ------------------------------------- *)
 
-(* One replay is the front end's own loop over the lines, with blocking
-   admission and timing fields off; [domains = 0] answers every line on
-   this thread, the serial reference. *)
+(* One replay is the front end's own loop over the lines, with timing
+   fields off; [domains = 0] answers every line on this thread, the
+   serial reference. *)
 let replay ?(paranoid = false) ~max_line_bytes ~domains reg lines =
   let sched = Scheduler.create ~domains ~queue_cap:64 ~registry:reg () in
   let sessions = Session.create ~paranoid ~registry:reg () in
@@ -318,9 +318,9 @@ let replay ?(paranoid = false) ~max_line_bytes ~domains reg lines =
       Session.close_all sessions)
     (fun () ->
       ignore
-        (Server.serve_lines ~max_line_bytes ~sessions ~admission:`Block
-           ~sched ~times:false (Server.list_source lines) (fun l ->
-             out := l :: !out)));
+        (Server.serve_lines ~max_line_bytes ~sessions ~sched ~times:false
+           (Server.list_source lines)
+           (Server.line_sink (fun l -> out := l :: !out))));
   List.rev !out
 
 let reference ?(max_line_bytes = default_max_line_bytes) reg lines =

@@ -5,7 +5,7 @@
     JSON, truncated lines, oversized lines, unknown grammar names,
     astral-plane strings and lone surrogates — then replay it twice.
     Both replays run the serve loop itself ({!Server.serve_lines},
-    blocking admission, timing fields off) over the lines as a list:
+    timing fields off) over the lines as a list:
 
     - the {b serial reference}: a 0-domain {!Scheduler}, so every line
       is answered on the calling thread (exactly what

@@ -482,8 +482,8 @@ let timeout ?id ~after_ms () =
     result_cache = `None;
     dur_ns = 0. }
 
-let overloaded ?id ~retry_after_ms () =
-  { rid = id;
+let overloaded ~retry_after_ms () =
+  { rid = None;
     outcome = Error (Overloaded { retry_after_ms });
     engine_used = "";
     artifact_cache = `None;

@@ -202,5 +202,8 @@ val timeout : ?id:string -> after_ms:float -> unit -> response
     request whose deadline expired while still queued.  Both render
     identically (failure responses carry no engine/cache fields). *)
 
-val overloaded : ?id:string -> retry_after_ms:int -> unit -> response
-(** The shed response: queue full, try again in [retry_after_ms]. *)
+val overloaded : retry_after_ms:int -> unit -> response
+(** The connection-level shed response: the TCP front end is at its
+    [--max-conns] limit, so it answers a new connection with this line
+    and closes it.  Requests themselves are never shed — a full queue
+    makes the reader wait. *)

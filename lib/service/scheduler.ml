@@ -3,7 +3,6 @@ module Probe = Lambekd_telemetry.Probe
 
 let c_enqueued = Probe.counter "service.enqueued"
 let c_dequeued = Probe.counter "service.dequeued"
-let c_shed = Probe.counter "service.shed"
 let c_expired_in_queue = Probe.counter "scheduler.expired_in_queue"
 let c_claim_faults = Probe.counter "scheduler.claim_faults"
 
@@ -122,10 +121,13 @@ let worker t () =
       for _ = 1 to chunk do
         jobs := Queue.pop t.queue :: !jobs
       done;
-      (* signal only across the full boundary: producers block (or shed)
-         only at cap, so popping below it never needs a wakeup — on a
-         single core this cuts the per-job context-switch ping-pong *)
-      if was_full then Condition.signal t.not_full;
+      (* wake producers only across the full boundary: they wait only at
+         cap, so popping below it never needs a wakeup — on a single core
+         this cuts the per-job context-switch ping-pong.  Broadcast, not
+         signal: a chunk frees up to 16 slots, and every blocked producer
+         (one per connection) must recheck, or all but one sleep on with
+         room in the queue. *)
+      if was_full then Condition.broadcast t.not_full;
       (* wakeup relay: producers signal only the empty→non-empty edge,
          so a worker that leaves work behind wakes the next worker *)
       if not (Queue.is_empty t.queue) then Condition.signal t.not_empty;
@@ -157,52 +159,43 @@ let create ?domains ?(queue_cap = 64) ~registry () =
   t.workers <- List.init ndomains (fun _ -> Domain.spawn (worker t));
   t
 
-(* One admission path for both modes.  [block] waits for queue space
-   where a shedding caller gets [Error retry_after_ms].  With no workers
-   there is nothing to queue for: the job runs here, on the submitting
-   thread, through the same [run_job] a worker would use — deadline
-   fixed at submission, queue-expiry check, exceptions answered as
-   [internal error] — and is answered before this returns. *)
-let enqueue ~block t job =
-  Mutex.lock t.mu;
-  if block then
-    while Queue.length t.queue >= t.cap && not t.stopping do
-      Condition.wait t.not_full t.mu
-    done;
-  if t.stopping then begin
-    Mutex.unlock t.mu;
-    invalid_arg "Scheduler: submit after shutdown"
-  end;
-  let len = Queue.length t.queue in
-  if len >= t.cap then begin
-    Mutex.unlock t.mu;
-    Probe.bump c_shed;
-    (* crude service-time hint: a full queue spread over the pool *)
-    Error (max 1 (len / max 1 t.ndomains))
-  end
-  else begin
-    Probe.bump c_enqueued;
-    if t.ndomains = 0 then begin
-      Mutex.unlock t.mu;
-      run_job t job
-    end
-    else begin
-      (* dually, workers sleep only on an empty queue *)
-      if len = 0 then Condition.signal t.not_empty;
-      Queue.push job t.queue;
-      Mutex.unlock t.mu
-    end;
-    Ok ()
-  end
+(* The one admission path: wait for queue room, then make the job and
+   queue it under the queue lock.  Making it under the lock is what keeps
+   session tickets in queue order (see [submit_session]).  With no
+   workers there is nothing to queue for: the job runs here, outside the
+   lock, on the submitting thread, through the same [run_job] a worker
+   would use — deadline fixed at submission, queue-expiry check,
+   exceptions answered as [internal error] — and is answered before this
+   returns. *)
+let enqueue t make_job =
+  let inline =
+    Mutex.protect t.mu (fun () ->
+        while Queue.length t.queue >= t.cap && not t.stopping do
+          Condition.wait t.not_full t.mu
+        done;
+        if t.stopping then invalid_arg "Scheduler: submit after shutdown";
+        let job = make_job () in
+        Probe.bump c_enqueued;
+        if t.ndomains = 0 then Some job
+        else begin
+          (* dually, workers sleep only on an empty queue *)
+          if Queue.is_empty t.queue then Condition.signal t.not_empty;
+          Queue.push job t.queue;
+          None
+        end)
+  in
+  Option.iter (run_job t) inline
 
-let try_submit t req k = enqueue ~block:false t (job_of req k)
-let try_submit_session t routed k =
-  enqueue ~block:false t (session_job_of routed k)
+let submit t req k = enqueue t (fun () -> job_of req k)
 
-(* a blocking enqueue never sheds: it returns only once there is room *)
-let submit t req k = ignore (enqueue ~block:true t (job_of req k))
-let submit_session t routed k =
-  ignore (enqueue ~block:true t (session_job_of routed k))
+(* Routing here, under the queue lock, issues each session ticket in the
+   same step that queues it, so a session's tickets enter the FIFO in
+   ticket order even when several connections share the table.  Routed
+   first and queued after, a second connection's ticket k+1 could enter
+   ahead of k; a worker holding k+1 would then wait in [Session.exec]
+   for a turn that sits behind it in the queue or in its own chunk. *)
+let submit_session t tab sq k =
+  enqueue t (fun () -> session_job_of (Session.route tab sq) k)
 
 let shutdown t =
   let workers =

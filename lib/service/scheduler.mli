@@ -1,13 +1,14 @@
-(** A multi-domain request scheduler: bounded queue, worker pool,
-    overload shedding.
+(** A multi-domain request scheduler: bounded queue, worker pool, flow
+    control.
 
     Requests are submitted (already decoded — see {!Protocol}) with a
     completion callback; a fixed pool of OCaml domains pulls them from a
     bounded MPMC queue and runs them through {!Exec.run} against a shared
     {!Registry.t}.  Per-request deadlines are fixed at submission time,
     so time spent queued counts against the budget.  When the queue is
-    full, {!try_submit} sheds the request instead of blocking — the
-    caller turns that into an [overloaded] response with a retry hint.
+    full, {!submit} waits for room: the submitting reader stops reading,
+    so a burst waits in its socket or pipe buffer instead of being
+    refused.
 
     Callbacks run on worker domains.  They must be domain-safe (the
     front end funnels them through a mutex-guarded ordered writer) and
@@ -17,9 +18,9 @@
     queue, and every submitted job executes on the submitting thread,
     through the same path a worker takes (deadline fixed at submission,
     queue-expiry check, an exception answered as an [internal error]
-    [bad_request]).  Its callback has run before [submit]/[try_submit]
-    returns.  This is the serial reference [lambekd batch --domains 0]
-    and {!Fuzz} compare against. *)
+    [bad_request]).  Its callback has run before [submit] returns.
+    This is the serial reference [lambekd batch --domains 0] and
+    {!Fuzz} compare against. *)
 
 type t
 
@@ -37,28 +38,23 @@ val depth : t -> int
 (** Jobs currently queued (a point-in-time reading — the queue-depth
     gauge and health detail, not a synchronization primitive). *)
 
-val try_submit :
-  t -> Protocol.request -> (Protocol.response -> unit) -> (unit, int) result
-(** Enqueue, or shed: [Error retry_after_ms] when the queue is full (the
-    hint scales with queue depth).  With [domains = 0], run the job now
-    and return [Ok ()].  Raises [Invalid_argument] after {!shutdown}. *)
-
 val submit : t -> Protocol.request -> (Protocol.response -> unit) -> unit
-(** Blocking enqueue — waits for queue space instead of shedding.  The
-    serve loop uses {!try_submit}; batch and the fuzz replays use this. *)
-
-val try_submit_session :
-  t -> Session.routed -> (Protocol.response -> unit) -> (unit, int) result
-(** {!try_submit} for a routed session op.  On [Error] the caller must
-    {!Session.cancel} the routed op (the scheduler does not), or the
-    session's later ops deadlock behind the dead ticket.  Queued session
-    ops are never answered from the queue on deadline expiry — the
-    session executor itself answers expired budgets, because only it
-    advances the session's turn. *)
+(** Enqueue, waiting for queue room while the queue is full.  With
+    [domains = 0], run the job now.  Raises [Invalid_argument] after
+    {!shutdown}. *)
 
 val submit_session :
-  t -> Session.routed -> (Protocol.response -> unit) -> unit
-(** Blocking enqueue of a routed session op. *)
+  t -> Session.t -> Protocol.session_req -> (Protocol.response -> unit) ->
+  unit
+(** {!submit} for a session op: {!Session.route} it through the table
+    and enqueue it as one step, under the queue lock.  A session's
+    tickets therefore enter the queue in ticket order even when several
+    threads submit against one shared table, and a worker never waits
+    in {!Session.exec} on a ticket queued behind its own.  Call on the
+    submitting thread, in line order.  Queued session ops are never
+    answered from the queue on deadline expiry — the session executor
+    itself answers expired budgets, because only it advances the
+    session's turn. *)
 
 val shutdown : t -> unit
 (** Stop accepting work, wait for the queue to drain and all in-flight

@@ -119,9 +119,12 @@ let list_source lines =
       let n = String.length l in
       if n > max_bytes then Oversized n else Line l
 
-let fd_sink fd line = write_all fd (line ^ "\n")
-
 (* --- ordered, crash-safe stream output ------------------------------------- *)
+
+type sink = Fd of Unix.file_descr | Lines of (string -> unit)
+
+let fd_sink fd = Fd fd
+let line_sink f = Lines f
 
 (* Workers complete out of submission order; responses are buffered and
    released in order.  A write failure marks the stream dead: later
@@ -133,37 +136,68 @@ type stream = {
   pending : (int, string) Hashtbl.t;
   mutable next : int;
   mutable dead : bool;
-  write : string -> unit;  (** called under [mu], in sequence order *)
+  sink : sink;  (** written under [mu], in sequence order *)
+  out : Buffer.t;  (** an [Fd] sink's released run, newline-terminated *)
 }
 
-let stream write =
+let stream sink =
   { mu = Mutex.create ();
     flushed = Condition.create ();
     pending = Hashtbl.create 16;
     next = 0;
     dead = false;
-    write }
+    sink;
+    out = Buffer.create 4096 }
 
+let write_failed st =
+  Probe.bump c_write_errors;
+  st.dead <- true
+
+let deliver st l =
+  match st.sink with
+  | Fd _ ->
+    Buffer.add_string st.out l;
+    Buffer.add_char st.out '\n'
+  | Lines f -> (
+    match f l with
+    | () -> ()
+    | exception (Unix.Unix_error _ | Sys_error _) -> write_failed st)
+
+let flush st =
+  match st.sink with
+  | Lines _ -> ()
+  | Fd fd ->
+    if Buffer.length st.out > 0 then begin
+      match write_all fd (Buffer.contents st.out) with
+      | () -> ()
+      | exception (Unix.Unix_error _ | Sys_error _) -> write_failed st
+    end;
+    (* back to the initial 4 KiB: a connection does not keep the
+       largest run it ever wrote *)
+    Buffer.reset st.out
+
+(* Release the run of responses that are ready in sequence and write it
+   with one [write_all].  A response is written before this returns,
+   together with the later ones already waiting behind it; it is never
+   held back for one that is not ready yet. *)
 let stream_emit st seq line =
   Mutex.protect st.mu (fun () ->
       Hashtbl.replace st.pending seq line;
-      let rec pump () =
+      let first = st.next in
+      let rec release () =
         match Hashtbl.find_opt st.pending st.next with
         | None -> ()
         | Some l ->
           Hashtbl.remove st.pending st.next;
-          if not st.dead then begin
-            match st.write l with
-            | () -> ()
-            | exception (Unix.Unix_error _ | Sys_error _) ->
-              Probe.bump c_write_errors;
-              st.dead <- true
-          end;
+          if not st.dead then deliver st l;
           st.next <- st.next + 1;
-          Condition.broadcast st.flushed;
-          pump ()
+          release ()
       in
-      pump ())
+      release ();
+      if st.next > first then begin
+        flush st;
+        Condition.broadcast st.flushed
+      end)
 
 let stream_dead st = Mutex.protect st.mu (fun () -> st.dead)
 
@@ -204,8 +238,8 @@ let metrics_extra () =
     ("histograms", Json.Obj hists) ]
 
 let serve_lines ?(max_line_bytes = default_max_line_bytes) ?slow
-    ?(draining = fun () -> false) ?(live = fun () -> 0) ?sessions ~admission
-    ~sched ~times (next_line : source) write : status =
+    ?(draining = fun () -> false) ?(live = fun () -> 0) ?sessions ~sched
+    ~times (next_line : source) sink : status =
   (* session lines need a table; a caller that passes none gets a
      stream-private one (closed with the stream), callers that share one
      across connections own its lifecycle *)
@@ -214,14 +248,7 @@ let serve_lines ?(max_line_bytes = default_max_line_bytes) ?slow
     | Some tab -> (false, tab)
     | None -> (true, Session.create ~registry:(Scheduler.registry sched) ())
   in
-  let submit, submit_session =
-    match admission with
-    | `Shed -> (Scheduler.try_submit sched, Scheduler.try_submit_session sched)
-    | `Block ->
-      ( (fun req k -> Ok (Scheduler.submit sched req k)),
-        fun routed k -> Ok (Scheduler.submit_session sched routed k) )
-  in
-  let st = stream write in
+  let st = stream sink in
   let malformed = Atomic.make false in
   let timed_out = Atomic.make false in
   (* [tr = Some (trace, echo)]: the request carries a trace — stamp
@@ -320,11 +347,7 @@ let serve_lines ?(max_line_bytes = default_max_line_bytes) ?slow
               | Some t -> { req with Protocol.trace = Some t }
               | None -> req
             in
-            match submit req (respond ?tr s) with
-            | Ok () -> ()
-            | Error retry_after_ms ->
-              respond ?tr s
-                (Protocol.overloaded ?id:req.Protocol.id ~retry_after_ms ()))
+            Scheduler.submit sched req (respond ?tr s))
           | Ok (Protocol.Session sq) -> (
             let tr = trace_of s sq.Protocol.sq_trace in
             let sq =
@@ -332,16 +355,11 @@ let serve_lines ?(max_line_bytes = default_max_line_bytes) ?slow
               | Some t -> { sq with Protocol.sq_trace = Some t }
               | None -> sq
             in
-            (* routing happens HERE, on the reading thread in line order:
-               session ids, evictions and close-unbinding are decided
-               before the op is queued (see {!Session.route}) *)
-            let routed = Session.route stab sq in
-            match submit_session routed (respond ?tr s) with
-            | Ok () -> ()
-            | Error retry_after_ms ->
-              Session.cancel routed;
-              respond ?tr s
-                (Protocol.overloaded ?id:sq.Protocol.sq_id ~retry_after_ms ()))
+            (* routing happens inside the submit, on the reading thread in
+               line order: session ids, evictions and close-unbinding are
+               decided as the op is queued (see {!Session.route} and
+               {!Scheduler.submit_session}) *)
+            Scheduler.submit_session sched stab sq (respond ?tr s))
         end;
         loop ()
   in
@@ -363,8 +381,8 @@ let serve_lines ?(max_line_bytes = default_max_line_bytes) ?slow
 
 let serve_stream ?max_line_bytes ?slow ?draining ?live ?sessions ~sched ~times
     fd_in fd_out =
-  serve_lines ?max_line_bytes ?slow ?draining ?live ?sessions ~admission:`Shed
-    ~sched ~times (fd_source fd_in) (fd_sink fd_out)
+  serve_lines ?max_line_bytes ?slow ?draining ?live ?sessions ~sched ~times
+    (fd_source fd_in) (fd_sink fd_out)
 
 (* --- the TCP front end ------------------------------------------------------ *)
 
@@ -412,6 +430,17 @@ let active_connections t =
 
 let stop t = Atomic.set t.stopping true
 
+(* A client that stops reading must not wedge a worker forever: writes
+   give up after 30s and the connection is marked dead.  Nagle is off:
+   every write is a run of whole responses, and holding a small one back
+   until the previous one is acknowledged (the client's ACK rides on its
+   next request) stretches a pipelined client's latency to its request
+   inter-arrival time. *)
+let setup_accepted fd =
+  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30. with
+  | Unix.Unix_error _ -> ());
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 let handle_connection t ?slow ?sessions ~max_line_bytes ~sched ~times fd =
   let draining () = Atomic.get t.stopping in
   let live () = active_connections t in
@@ -445,10 +474,7 @@ let run ?(max_conns = 64) ?(max_line_bytes = default_max_line_bytes) ?slow
         ()
       | fd, _ ->
         Atomic.incr t.accepted;
-        (* a client that stops reading must not wedge a worker forever:
-           writes give up after 30s and the connection is marked dead *)
-        (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30. with
-        | Unix.Unix_error _ -> ());
+        setup_accepted fd;
         let live =
           Mutex.protect t.tmu (fun () -> Hashtbl.length t.active)
         in

@@ -9,12 +9,14 @@
     raced.  Every front end runs it:
 
     - [lambekd serve] over stdin/stdout or a TCP connection
-      ({!serve_stream}, shedding when the queue is full);
-    - [lambekd batch] over a request file and stdout (blocking
-      admission, no line cap);
-    - the {!Fuzz} replays and corpus goldens over a string list
-      (blocking admission), against a 0-domain scheduler for the
-      serial reference.
+      ({!serve_stream});
+    - [lambekd batch] over a request file and stdout (no line cap);
+    - the {!Fuzz} replays and corpus goldens over a string list,
+      against a 0-domain scheduler for the serial reference.
+
+    All of them share one flow control: when the scheduler queue is
+    full the reader waits for room, so a burst waits in its socket or
+    pipe buffer.  No request is refused for load.
 
     What makes it safe to expose:
 
@@ -22,6 +24,9 @@
       byte cap; an oversized line is consumed (not buffered) and
       answered with a [bad_request] response instead of growing the
       heap without limit;
+    - {b one write per released run}: a descriptor sink gets every
+      response that is ready in sequence in one write; a response is
+      never held back for a later one;
     - {b crash-safe writes}: a write that raises [Unix_error] or
       [Sys_error] (a vanished peer: [EPIPE], reset — the process must
       ignore [SIGPIPE]; the serving front ends do) marks the stream
@@ -70,9 +75,16 @@ val list_source : string list -> source
 (** The lines of a list, in order; a line longer than the cap is
     [Oversized], exactly as {!read_line} would report it. *)
 
-val fd_sink : Unix.file_descr -> string -> unit
-(** Write one response line and its newline to a descriptor; raises
-    [Unix_error] when the peer is gone. *)
+type sink
+(** Where the loop's ordered response lines go. *)
+
+val fd_sink : Unix.file_descr -> sink
+(** A descriptor: each run of responses released in sequence is written
+    as newline-terminated lines with one write, before the completion
+    that released it returns. *)
+
+val line_sink : (string -> unit) -> sink
+(** A callback, called once per response line (without its newline). *)
 
 (** {1 Stream serving} *)
 
@@ -97,26 +109,24 @@ val serve_lines :
   ?draining:(unit -> bool) ->
   ?live:(unit -> int) ->
   ?sessions:Session.t ->
-  admission:[ `Shed | `Block ] ->
   sched:Scheduler.t ->
   times:bool ->
   source ->
-  (string -> unit) ->
+  sink ->
   status
 (** Serve one NDJSON stream: read and decode on the calling thread,
-    execute on the scheduler, hand each response line (without its
-    newline) to the sink in request order.  The sink is called under
-    the stream lock, one line at a time; if it raises [Unix_error] or
-    [Sys_error] the stream is dead and reading stops.  Returns when
+    execute on the scheduler, hand the response lines to the sink in
+    request order.  The sink is written under the stream lock; if it
+    raises [Unix_error] or [Sys_error] the stream is dead and reading
+    stops.  Returns when
     the input is exhausted and every in-flight response was written
     (or dropped).  Blank lines get no response; a line over
     [max_line_bytes] (default {!default_max_line_bytes}) gets a
     [bad_request].
 
-    [admission] is fixed by the front end: [`Shed] answers
-    [overloaded] when the scheduler queue is full (serve), [`Block]
-    waits for room (batch, fuzz).  With a 0-domain scheduler every
-    request is answered on this thread before the next line is read.
+    When the scheduler queue is full, the loop waits for room before it
+    reads the next line.  With a 0-domain scheduler every request is
+    answered on this thread before the next line is read.
 
     Admin lines ([{"op":"health"}], [{"op":"metrics"}]) are answered
     inline without touching the scheduler queue — [draining] and [live]
@@ -127,7 +137,8 @@ val serve_lines :
     ["trace"] object on their response.
 
     Session lines are routed (in line order, on this thread) through
-    [sessions] and executed on the scheduler like requests; when no
+    [sessions] as they are queued ({!Scheduler.submit_session}) and
+    executed on the scheduler like requests; when no
     table is passed, the stream gets a private one whose sessions die
     with the stream.  Pass a shared table to let sessions span
     connections (the TCP front end does). *)
@@ -143,7 +154,7 @@ val serve_stream :
   Unix.file_descr ->
   Unix.file_descr ->
   status
-(** {!serve_lines} with [`Shed] admission over a descriptor pair.
+(** {!serve_lines} over a descriptor pair ({!fd_source}, {!fd_sink}).
     Never raises on peer-caused I/O errors; does not close either
     descriptor. *)
 
@@ -168,6 +179,12 @@ val stop : tcp -> unit
 (** Request a graceful drain.  Async-signal-safe (sets a flag the
     accept loop polls); callable from any thread or a signal
     handler.  Idempotent. *)
+
+val setup_accepted : Unix.file_descr -> unit
+(** What {!run} sets on every accepted connection: [TCP_NODELAY] (a
+    run of responses leaves at once instead of waiting for the previous
+    one's acknowledgement) and a 30 s [SO_SNDTIMEO] (a client that
+    stops reading cannot hold a worker forever). *)
 
 val run :
   ?max_conns:int ->

@@ -13,9 +13,10 @@ let c_reused_sets = Probe.counter "session.reused_sets"
    table mutex — that is what makes a serial replay and a multi-domain
    replay byte-identical: every stateful naming decision (id allocation,
    LRU eviction, close-unbinding, unknown-session rejection) happens in
-   line order before anything is queued.  The buffer and chart are only
-   touched by {!exec} while holding the entry's turn, so edits against
-   one session serialize in submission order however many workers race. *)
+   line order, in the same step that queues the op.  The buffer and
+   chart are only touched by {!exec} while holding the entry's turn, so
+   edits against one session serialize in submission order however many
+   workers race. *)
 
 type state =
   | Unopened of { cfg : Cfg.t }
@@ -25,7 +26,7 @@ type state =
       bundle : Registry.scratch;
       es : Earley.session;
     }
-  | Dead  (** open was shed, or the scratch has been returned *)
+  | Dead  (** the scratch has been returned *)
 
 type entry = {
   sid : string;
@@ -34,7 +35,6 @@ type entry = {
   mutable state : state;  (** written only while holding the turn *)
   mutable next_ticket : int;  (** table mutex *)
   mutable turn : int;  (** [emu] *)
-  canceled : (int, unit) Hashtbl.t;  (** shed tickets, [emu] *)
   mutable final_ticket : int;
       (** set (under [emu]) when the entry leaves the table: no ticket at
           or beyond this will ever be issued, so reaching it releases the
@@ -80,10 +80,10 @@ let paranoid t = t.paranoid
 (* --- turn bookkeeping ----------------------------------------------------
 
    Tickets are issued at route time; workers execute an entry's ops in
-   ticket order, waiting on [cv] until [turn] reaches their ticket.  A
-   shed ticket is recorded in [canceled] so the turn can skip it —
-   otherwise every later op of that session would deadlock.  Whoever
-   advances [turn] to [final_ticket] returns the scratch bundle. *)
+   ticket order, waiting on [cv] until [turn] reaches their ticket.
+   Every routed op is executed (the scheduler never sheds one), so the
+   turn reaches every ticket.  Whoever advances [turn] to
+   [final_ticket] returns the scratch bundle. *)
 
 let release_locked e =
   match e.state with
@@ -95,10 +95,6 @@ let release_locked e =
 (* [emu] held *)
 let advance_locked e =
   e.turn <- e.turn + 1;
-  while Hashtbl.mem e.canceled e.turn do
-    Hashtbl.remove e.canceled e.turn;
-    e.turn <- e.turn + 1
-  done;
   if e.final_ticket >= 0 && e.turn >= e.final_ticket then release_locked e;
   Condition.broadcast e.cv
 
@@ -172,7 +168,6 @@ let route t (sq : Protocol.session_req) =
             state = Unopened { cfg };
             next_ticket = 1;
             turn = 0;
-            canceled = Hashtbl.create 4;
             final_ticket = -1;
             used_seq = 0;
             last_used_ns = now }
@@ -195,25 +190,6 @@ let route t (sq : Protocol.session_req) =
             Mutex.protect e.emu (fun () -> e.final_ticket <- e.next_ticket)
           | _ -> ());
           { tab = t; sreq = sq; target = T_entry (e, ticket) }))
-
-let cancel r =
-  match r.target with
-  | T_unknown -> ()
-  | T_entry (e, ticket) ->
-    (* a shed open leaves a zombie: unbind its name so the table slot is
-       not held by a session that will never open *)
-    (match r.sreq.Protocol.sq_op with
-    | Protocol.S_open _ ->
-      Mutex.protect r.tab.mu (fun () ->
-          match Hashtbl.find_opt r.tab.tbl e.sid with
-          | Some e' when e' == e ->
-            Hashtbl.remove r.tab.tbl e.sid;
-            Mutex.protect e.emu (fun () -> e.final_ticket <- e.next_ticket)
-          | _ -> ())
-    | _ -> ());
-    Mutex.protect e.emu (fun () ->
-        if e.turn = ticket then advance_locked e
-        else Hashtbl.replace e.canceled ticket ())
 
 (* --- op execution (worker side) ------------------------------------------ *)
 

@@ -15,18 +15,19 @@
     - {!route} runs on the submitting thread in line order under the
       table mutex.  It makes every stateful naming decision — session-id
       allocation (["s0"], ["s1"], ... in open order), LRU/idle eviction,
-      close-unbinding, unknown-session rejection — before anything is
+      close-unbinding, unknown-session rejection — as the op is
       queued, and issues the entry a monotonically increasing ticket.
     - {!exec} runs on any worker; it waits until the entry's turn
       reaches its ticket, so ops against one session execute in
       submission order no matter how many domains race.  Ops against
-      different sessions run concurrently.
-    - {!cancel} retires a shed ticket so later ops of the session do not
-      wait on it forever.
+      different sessions run concurrently.  Every routed op must reach
+      {!exec}, and the ops of one session must reach the workers in
+      ticket order: {!Scheduler.submit_session} routes and enqueues in
+      one step for exactly this reason.
 
     The entry's pooled scratch bundle is checked out at open
     ({!Registry.take_scratch}) and returned exactly once, by whichever
-    op (or cancel) advances the turn past the close's ticket. *)
+    op advances the turn past the close's ticket. *)
 
 type t
 
@@ -63,8 +64,8 @@ val sreq : routed -> Protocol.session_req
 val route : t -> Protocol.session_req -> routed
 (** Route one line.  Call on the submitting thread, in line order —
     this is where ids are allocated, evictions happen and closes unbind
-    their name.  The result must be finished with exactly one of
-    {!exec} or {!cancel}, or the session's later ops deadlock. *)
+    their name.  The result must be passed to {!exec} exactly once, or
+    the session's later ops deadlock. *)
 
 val exec : ?deadline_ns:float -> routed -> Protocol.response
 (** Execute a routed op (any thread; blocks until the session's earlier
@@ -73,11 +74,6 @@ val exec : ?deadline_ns:float -> routed -> Protocol.response
     deterministically before touching the buffer.  A deadline abort
     mid-parse answers [timeout] and leaves the retained chart invalid —
     the next op on the session recomputes from scratch. *)
-
-val cancel : routed -> unit
-(** Retire a routed op that will never run (queue shed): advances or
-    marks its ticket so later ops proceed, and unbinds a shed open's
-    session id. *)
 
 val close_all : t -> unit
 (** Unbind every live session and schedule its scratch return (after

@@ -1,7 +1,8 @@
 (* Tests for the hardened serving front end: bounded line reading,
    ordered crash-safe stream output (including a peer that vanishes
    mid-stream), concurrent TCP serving, 1000-connection churn without
-   descriptor leaks, overload shedding, and graceful drain. *)
+   descriptor leaks, flow control instead of shedding, connection
+   shedding, and graceful drain. *)
 
 module Sv = Lambekd_service
 module Server = Sv.Server
@@ -161,8 +162,8 @@ let test_serve_stream_peer_vanishes () =
   Unix.close out_w;
   Unix.close in_r
 
-(* Blocking admission never sheds: a 2-domain pool behind a one-slot
-   queue answers every line, in order. *)
+(* A full queue makes the reader wait, never shed: a 2-domain pool
+   behind a one-slot queue answers every line, in order. *)
 let test_serve_lines_blocking () =
   let reg = Registry.create () in
   let sched = Scheduler.create ~domains:2 ~queue_cap:1 ~registry:reg () in
@@ -175,8 +176,8 @@ let test_serve_lines_blocking () =
   in
   let out = ref [] in
   let status =
-    Server.serve_lines ~admission:`Block ~sched ~times:false
-      (Server.list_source lines) (fun l -> out := l :: !out)
+    Server.serve_lines ~sched ~times:false (Server.list_source lines)
+      (Server.line_sink (fun l -> out := l :: !out))
   in
   let out = List.rev !out in
   check_bool "clean" true (status = `Clean);
@@ -226,8 +227,9 @@ let test_serve_zero_domains () =
   let out = ref [] in
   let st_list =
     with_serial (fun sched ->
-        Server.serve_lines ~max_line_bytes:256 ~admission:`Shed ~sched
-          ~times:false (Server.list_source lines) (fun l -> out := l :: !out))
+        Server.serve_lines ~max_line_bytes:256 ~sched ~times:false
+          (Server.list_source lines)
+          (Server.line_sink (fun l -> out := l :: !out)))
   in
   check_int "one response per non-blank line" 6 (List.length from_fd);
   check_bool "oversized line answered" true
@@ -246,9 +248,10 @@ type running = {
   sessions : Session.t option;
 }
 
-let start_server ?max_conns ?max_line_bytes ?(use_sessions = false) () =
+let start_server ?max_conns ?max_line_bytes ?(use_sessions = false)
+    ?(domains = 2) ?(queue_cap = 32) () =
   let reg = Registry.create () in
-  let sched = Scheduler.create ~domains:2 ~queue_cap:32 ~registry:reg () in
+  let sched = Scheduler.create ~domains ~queue_cap ~registry:reg () in
   (* a shared table (same registry as the scheduler) lets sessions span
      connections, as lambekd serve wires it *)
   let sessions =
@@ -393,6 +396,124 @@ let test_tcp_abrupt_disconnect () =
   check_bool "server healthy after abrupt disconnects" true
     (recv_line fd <> None);
   Unix.close fd
+
+(* Nagle is off on the server's side of a served connection: the accept
+   loop's socket setup, applied to a real accepted socket, reads back
+   TCP_NODELAY set, and the socket then serves. *)
+let test_tcp_nodelay () =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let port =
+    match Unix.getsockname lsock with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let c = connect port in
+  let fd, _ = Unix.accept lsock in
+  Unix.close lsock;
+  Server.setup_accepted fd;
+  check_bool "TCP_NODELAY set on the accepted socket" true
+    (Unix.getsockopt fd Unix.TCP_NODELAY);
+  with_sched @@ fun sched ->
+  let server =
+    Thread.create
+      (fun () ->
+        ignore (Server.serve_stream ~sched ~times:false fd fd : Server.status))
+      ()
+  in
+  write_all c ({|{"id":"n","grammar":"dyck","input":"()"}|} ^ "\n");
+  check_bool "the socket serves" true
+    (match recv_line c with
+    | Some l -> contains l {|"verdict":"accept"|}
+    | None -> false);
+  Unix.close c;
+  Thread.join server;
+  Unix.close fd
+
+(* Read [n] response lines, giving up after [timeout_s] of silence. *)
+let recv_lines ?(timeout_s = 10.) fd n =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
+  let rdr = Server.reader fd in
+  let rec go k acc =
+    if k = n then List.rev acc
+    else
+      match Server.read_line rdr ~max_bytes:(1 lsl 20) with
+      | Server.Line l -> go (k + 1) (l :: acc)
+      | Server.Oversized _ | Server.Eof -> List.rev acc
+  in
+  go 0 []
+
+(* Send [payload] from a thread while the caller reads: a server that
+   stops reading while its queue is full must not deadlock a client
+   that writes a large burst in one go. *)
+let send_async fd payload = Thread.create (fun () -> write_all fd payload) ()
+
+(* Two connections pipeline appends to one shared session.  When routing
+   and queueing were two steps, connection B's ticket k+1 could enter
+   the queue ahead of connection A's ticket k; the worker that claimed
+   k+1 waited in [Session.exec] for a turn queued behind it, and the
+   server answered nothing more.  Every op must be answered. *)
+let test_tcp_shared_session_no_wedge () =
+  List.iter
+    (fun domains ->
+      let n = 5000 in
+      let r =
+        start_server ~use_sessions:true ~domains ~queue_cap:(4 * n) ()
+      in
+      let port = Server.port r.t in
+      let c0 = connect port in
+      write_all c0 ({|{"op":"session_open","grammar":"dyck"}|} ^ "\n");
+      check_bool "opened" true
+        (match recv_line c0 with
+        | Some l -> contains l {|"session":"s0"|}
+        | None -> false);
+      let append = {|{"op":"append","session":"s0","chunk":"()"}|} ^ "\n" in
+      let burst = String.concat "" (List.init n (fun _ -> append)) in
+      let conns = [ connect port; connect port ] in
+      let writers = List.map (fun c -> send_async c burst) conns in
+      let answered =
+        List.map (fun c -> List.length (recv_lines c n)) conns
+      in
+      if List.exists (fun k -> k < n) answered then
+        (* a wedged worker never finishes, so neither would a drain:
+           fail without tearing the server down *)
+        Alcotest.failf "domains=%d: wedged after %s of %d responses" domains
+          (String.concat "+" (List.map string_of_int answered))
+          n;
+      List.iter Thread.join writers;
+      write_all c0
+        ({|{"op":"query","session":"s0","query":"member"}|} ^ "\n");
+      check_bool "every append applied" true
+        (match recv_line c0 with
+        | Some l -> contains l (Fmt.str {|"len":%d|} (4 * n))
+        | None -> false);
+      List.iter Unix.close (c0 :: conns);
+      stop_server r)
+    [ 1; 2 ]
+
+(* A pipelined burst far past the queue cap waits in the socket buffer
+   and is answered in full: no [overloaded], and no session op lost. *)
+let test_tcp_burst_not_shed () =
+  let r = start_server ~domains:1 ~queue_cap:1 () in
+  Fun.protect ~finally:(fun () -> stop_server r) @@ fun () ->
+  let stateless = 2000 and appends = 300 in
+  let lines =
+    List.init stateless (fun i ->
+        Fmt.str {|{"id":"q%d","grammar":"dyck","input":"(())"}|} i)
+    @ [ {|{"op":"session_open","grammar":"dyck"}|} ]
+    @ List.init appends (fun _ ->
+          {|{"op":"append","session":"s0","chunk":"()"}|})
+  in
+  let total = stateless + 1 + appends in
+  let c = connect (Server.port r.t) in
+  let writer = send_async c (String.concat "\n" lines ^ "\n") in
+  let out = recv_lines c total in
+  Thread.join writer;
+  Unix.close c;
+  check_int "one response per line" total (List.length out);
+  check_bool "nothing shed" false
+    (List.exists (fun l -> contains l "overloaded") out);
+  check_bool "every append applied" true
+    (contains (List.nth out (total - 1)) (Fmt.str {|"len":%d|} (2 * appends)))
 
 let test_tcp_graceful_drain () =
   let r = start_server () in
@@ -714,6 +835,12 @@ let suite =
     Alcotest.test_case "tcp: 1000-connection churn, no fd leak" `Quick
       test_tcp_churn;
     Alcotest.test_case "tcp: sheds beyond max-conns" `Quick test_tcp_shed;
+    Alcotest.test_case "tcp: nodelay on served sockets" `Quick
+      test_tcp_nodelay;
+    Alcotest.test_case "tcp: shared session never wedges" `Quick
+      test_tcp_shared_session_no_wedge;
+    Alcotest.test_case "tcp: burst past queue cap waits, not shed" `Quick
+      test_tcp_burst_not_shed;
     Alcotest.test_case "tcp: oversized line answered and survived" `Quick
       test_tcp_oversized_line;
     Alcotest.test_case "tcp: abrupt disconnects do not poison the server"

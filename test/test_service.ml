@@ -1,7 +1,7 @@
 (* Tests for the service layer: LRU, JSON, protocol decoding, the grammar
    registry (including a random differential against fresh compilation),
    request execution (engine policy, deadlines, result cache), and the
-   multi-domain scheduler (shedding, and a stress test asserting parallel
+   multi-domain scheduler (flow control, and a stress test asserting parallel
    output is byte-identical to serial). *)
 
 module Sv = Lambekd_service
@@ -525,9 +525,7 @@ let parked_pool ~queue_cap =
           Condition.wait cv mu
         done)
   in
-  (match Scheduler.try_submit sched (dyck_req "()") park with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "parking job shed");
+  Scheduler.submit sched (dyck_req "()") park;
   Mutex.protect mu (fun () ->
       while not !parked do
         Condition.wait cv mu
@@ -539,29 +537,44 @@ let parked_pool ~queue_cap =
   in
   (sched, release)
 
-let test_scheduler_shed () =
+(* A full queue makes producers wait, and room wakes every one of them:
+   one producer per connection may be blocked at once, and a worker
+   popping from a full queue must not leave any of them asleep with room
+   in the queue.  Here the first pop frees two slots for three waiting
+   producers with one job each: a single signal woke one of them, whose
+   job left the queue below cap, so no later pop woke the other two. *)
+let test_scheduler_blocks () =
   let sched, release = parked_pool ~queue_cap:2 in
   let req = dyck_req "()" in
   let got = Atomic.make 0 in
-  let submit () = Scheduler.try_submit sched req (fun _ -> Atomic.incr got) in
-  check_bool "first enqueues" true (submit () = Ok ());
-  check_bool "second enqueues" true (submit () = Ok ());
-  (match submit () with
-  | Error retry -> check_bool "retry hint positive" true (retry > 0)
-  | Ok () -> Alcotest.fail "queue over capacity");
+  let submit () = Scheduler.submit sched req (fun _ -> Atomic.incr got) in
+  submit ();
+  submit ();
+  check_int "queue at cap" 2 (Scheduler.depth sched);
+  let producers =
+    List.init 3 (fun _ ->
+        Thread.create
+          (fun () -> try submit () with Invalid_argument _ -> ())
+          ())
+  in
+  Unix.sleepf 0.05;
+  check_int "producers wait while the queue is full" 2
+    (Scheduler.depth sched);
   check_int "nothing answered while parked" 0 (Atomic.get got);
   release ();
   let t0 = Unix.gettimeofday () in
-  while Atomic.get got < 2 && Unix.gettimeofday () -. t0 < 10. do
-    Thread.yield ()
+  while Atomic.get got < 5 && Unix.gettimeofday () -. t0 < 10. do
+    Unix.sleepf 0.001
   done;
-  check_bool "space again" true (submit () = Ok ());
+  let answered = Atomic.get got in
+  (* shutdown wakes any producer still asleep, so a failure cannot hang *)
   Scheduler.shutdown sched;
-  check_int "all accepted jobs answered" 3 (Atomic.get got)
+  List.iter Thread.join producers;
+  check_int "every blocked producer got in and was answered" 5 answered
 
-(* domains = 0 runs on the caller: the callback has run before
-   submit/try_submit returns, nothing is ever queued or shed, and the
-   answer is the one a worker would give *)
+(* domains = 0 runs on the caller: the callback has run before submit
+   returns, nothing is ever queued, and the answer is the one a worker
+   would give *)
 let test_scheduler_inline () =
   let reg = Registry.create () in
   let sched = Scheduler.create ~domains:0 ~queue_cap:1 ~registry:reg () in
@@ -575,9 +588,8 @@ let test_scheduler_inline () =
   Scheduler.submit sched (dyck_req "(())") k;
   check_int "submit answered before returning" 1 (List.length !got);
   for i = 1 to 5 do
-    check_bool "try_submit never sheds" true
-      (Scheduler.try_submit sched (dyck_req "()(") k = Ok ());
-    check_int "try_submit answered before returning" (1 + i)
+    Scheduler.submit sched (dyck_req "()(") k;
+    check_int "answered before returning, past the queue cap" (1 + i)
       (List.length !got)
   done;
   check_int "nothing queued" 0 (Scheduler.depth sched);
@@ -801,9 +813,7 @@ let test_queue_expiry () =
     | Error e -> Alcotest.fail e
   in
   let got = ref None in
-  (match Scheduler.try_submit sched req (fun r -> got := Some r) with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "submit");
+  Scheduler.submit sched req (fun r -> got := Some r);
   Unix.sleepf 0.02;
   release ();
   Scheduler.shutdown sched;
@@ -1628,10 +1638,9 @@ let replay_sessions_parallel lines =
   let cv = Condition.create () in
   List.iteri
     (fun i l ->
-      (* routing happens here, on the submitting thread in line order *)
-      let routed = Session.route tab (sline l) in
+      (* routing happens in the submit, on this thread in line order *)
       Mutex.protect mu (fun () -> incr pending);
-      Scheduler.submit_session sched routed (fun r ->
+      Scheduler.submit_session sched tab (sline l) (fun r ->
           out.(i) <- Protocol.response_to_json ~times:false r;
           Mutex.protect mu (fun () ->
               decr pending;
@@ -1703,8 +1712,8 @@ let suite =
       test_parse_query_tree;
     Alcotest.test_case "exec: timeout" `Quick test_timeout;
     Alcotest.test_case "exec: result cache" `Quick test_result_cache;
-    Alcotest.test_case "scheduler: overload shedding" `Quick
-      test_scheduler_shed;
+    Alcotest.test_case "scheduler: full queue waits, wakes all" `Quick
+      test_scheduler_blocks;
     Alcotest.test_case "scheduler: 4-domain output identical to serial"
       `Quick test_scheduler_parallel_identical;
     Alcotest.test_case "scheduler: shutdown drains" `Quick
