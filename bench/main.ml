@@ -1151,6 +1151,48 @@ let bench_engine_crossover () =
         (fun n -> String.concat "" (List.init n (fun _ -> "()"))),
         [ 8; 32; 128 ] ) ]
 
+(* The service caches' LRU: a full cap-4096 cache of registry-shaped
+   result keys (32-char digest, query key, input).  One batch is 4 096
+   puts of fresh keys, each evicting the least-recent entry, or 4 096
+   hits; two key sets alternate so every batch evicts the whole cache.
+   Timed per batch so an O(size) eviction scan (about 60 µs a put, a
+   quarter second a batch) stands far above [--check]'s noise floor. *)
+let bench_lru () =
+  let module Lru = Lambekd_service.Lru in
+  header "service LRU — 4096 evicting puts / 4096 hits on a full cap-4096 cache";
+  let n = 4096 in
+  let keys tag =
+    Array.init n (fun i ->
+        ( Digest.to_hex (Digest.string (Printf.sprintf "%s%d" tag i)),
+          "member",
+          Printf.sprintf "input-%d" i ))
+  in
+  let sets = [| keys "a"; keys "b" |] in
+  let c = Lru.create ~cap:n in
+  Array.iter (fun k -> Lru.put c k true) sets.(0);
+  let live = ref 0 in
+  let evict_batch_ns =
+    time_ns (fun () ->
+        live := 1 - !live;
+        Array.iter (fun k -> Lru.put c k true) sets.(!live))
+  in
+  let hit_batch_ns =
+    time_ns (fun () ->
+        Array.iter (fun k -> ignore (Lru.find c k)) sets.(!live))
+  in
+  json ~section:"lru"
+    [ ("cap", Ev.Int n);
+      ("batch", Ev.Int n);
+      ("evict_batch_ns", Ev.Float evict_batch_ns);
+      ("hit_batch_ns", Ev.Float hit_batch_ns);
+      ("evictions", Ev.Int (Lru.evictions c)) ];
+  row
+    [ cell "%-14s" "evicting put"; pp_ns evict_batch_ns;
+      cell "%8.0f ns/op" (evict_batch_ns /. float_of_int n) ];
+  row
+    [ cell "%-14s" "hit"; pp_ns hit_batch_ns;
+      cell "%8.0f ns/op" (hit_batch_ns /. float_of_int n) ]
+
 (* --- PR3: service layer — registry amortization and batch throughput ----------- *)
 
 (* The serving claims (ISSUE PR3): (a) a warm grammar registry makes a
@@ -1299,7 +1341,8 @@ let bench_service () =
     [ cell "%-14s" "sched x4"; pp_ns par_ns;
       cell "%9.0f rps" (rps par_ns);
       cell "%6.1fx vs cold" speedup;
-      cell "%s" (if identical then "outputs identical" else "OUTPUTS DIFFER") ]
+      cell "%s" (if identical then "outputs identical" else "OUTPUTS DIFFER") ];
+  bench_lru ()
 
 (* --- PR10: persistent artifact store — zero cold start ---------------------------- *)
 

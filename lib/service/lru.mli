@@ -1,11 +1,13 @@
-(** A small bounded map with least-recently-used eviction.
+(** A bounded map with exact least-recently-used eviction.
 
     Backs the two service caches (compiled artifacts, query results).
-    Recency is a per-entry stamp refreshed on every {!find} hit;
-    eviction scans for the minimum stamp, which is O(size) but only runs
-    on an insert into a full cache — fine at the cache sizes the service
-    uses (tens to a few thousand entries), and it keeps the structure
-    allocation-free on the hit path.
+    {!find} and {!put} are O(1): a hash table maps each key to a
+    slot, the slots' keys and values sit in arrays that grow by
+    doubling up to [cap], and two int arrays link the slots into a
+    recency list.  A
+    {!find} hit relinks its slot with int writes only, so it allocates
+    nothing that outlives the call; an insert into a full cache reuses
+    the least-recent entry's slot.
 
     Not synchronized: callers (the registry) guard it with their own
     mutex. *)
@@ -30,6 +32,6 @@ val evictions : ('k, 'v) t -> int
 (** Entries evicted (not replaced) since creation. *)
 
 val bindings : ('k, 'v) t -> ('k * 'v) list
-(** Current entries, unordered. *)
+(** Current entries, most recently used first. *)
 
 val clear : ('k, 'v) t -> unit

@@ -287,8 +287,8 @@ let encode_artifact (a : artifact) =
   in
   Marshal.to_string p [ Marshal.Closures ]
 
-let decode_artifact ~digest ~cyk_nt_budget payload : artifact option =
-  match (Marshal.from_string payload 0 : persisted) with
+let decode_artifact ~digest ~cyk_nt_budget entry ofs : artifact option =
+  match (Marshal.from_string entry ofs : persisted) with
   | exception _ -> None
   | p ->
     if p.p_cyk_nt_budget <> cyk_nt_budget || digest_cfg p.p_cfg <> digest
@@ -373,10 +373,14 @@ let get ?trace t cfg =
   | Some a ->
     Probe.bump c_artifact_hit;
     tick t.a_hits;
-    (* refresh LRU recency opportunistically: skip rather than contend *)
+    (* refresh LRU recency opportunistically: skip rather than contend.
+       Still under [t.mu], and released on any exit. *)
     if Mutex.try_lock t.mu then begin
-      ignore (Lru.find t.artifacts digest);
-      Mutex.unlock t.mu
+      match Lru.find t.artifacts digest with
+      | _ -> Mutex.unlock t.mu
+      | exception e ->
+        Mutex.unlock t.mu;
+        raise e
     end;
     (a, `Hit)
   | None ->

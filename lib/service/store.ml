@@ -132,12 +132,6 @@ let read_prefix path n =
       let len = min n (in_channel_length ic) in
       really_input_string ic len)
 
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* --- open ----------------------------------------------------------------- *)
 
 let default_max_entries = 512
@@ -227,42 +221,62 @@ let invalidate t digest =
 (* refresh LRU recency: utimes with 0 0 sets both stamps to now *)
 let touch path = try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ()
 
+(* One open and fstat-sized reads; ENOENT (raised by the open) is the
+   caller's miss, any other failure an invalid.  A file that shrinks
+   under the read comes back short and fails the length check. *)
+let read_entry path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let n = (Unix.fstat fd).Unix.st_size in
+      let b = Bytes.create n in
+      let rec fill off =
+        if off = n then off
+        else
+          match Unix.read fd b off (n - off) with
+          | 0 -> off
+          | k -> fill (off + k)
+      in
+      let got = fill 0 in
+      if got = n then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got)
+
 let load t ~digest ~decode =
   let path = path_of t digest in
-  if not (Sys.file_exists path) then begin
+  let validated =
+    match read_entry path with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> `Miss
+    | exception (Unix.Unix_error _ | Sys_error _) -> `Invalid
+    | contents -> (
+      match parse_header contents with
+      | Error _ -> `Invalid
+      | Ok h ->
+        if h.h_digest <> digest then `Invalid
+        else if String.length contents - h.h_start <> h.h_bytes then `Invalid
+        else if
+          Digest.to_hex (Digest.substring contents h.h_start h.h_bytes)
+          <> h.h_md5
+        then `Invalid
+        else
+          (* bytes are intact; the caller's decode still revalidates
+             the structural digest before trusting the contents *)
+          match decode contents h.h_start with
+          | Some v -> `Hit v
+          | None | (exception _) -> `Invalid)
+  in
+  match validated with
+  | `Hit v ->
+    tick t.hits;
+    Probe.bump c_hit;
+    touch path;
+    Some v
+  | `Miss ->
     tick t.misses;
     Probe.bump c_miss;
     None
-  end
-  else
-    let validated =
-      match read_all path with
-      | exception Sys_error _ -> None
-      | contents -> (
-        match parse_header contents with
-        | Error _ -> None
-        | Ok h ->
-          if h.h_digest <> digest then None
-          else if String.length contents - h.h_start <> h.h_bytes then None
-          else
-            let payload = String.sub contents h.h_start h.h_bytes in
-            if Digest.to_hex (Digest.string payload) <> h.h_md5 then None
-            else
-              (* bytes are intact; the caller's decode still revalidates
-                 the structural digest before trusting the contents *)
-              match decode payload with
-              | v -> v
-              | exception _ -> None)
-    in
-    match validated with
-    | Some v ->
-      tick t.hits;
-      Probe.bump c_hit;
-      touch path;
-      Some v
-    | None ->
-      invalidate t digest;
-      None
+  | `Invalid ->
+    invalidate t digest;
+    None
 
 (* --- save + eviction ------------------------------------------------------- *)
 

@@ -73,10 +73,13 @@ val open_root :
 
 val root : t -> string
 
-val load : t -> digest:string -> decode:(string -> 'a option) -> 'a option
+val load :
+  t -> digest:string -> decode:(string -> int -> 'a option) -> 'a option
 (** Look up an entry.  [None] with the [store.miss] probe when no
     entry file exists; otherwise the header and checksum are
-    validated, [decode] is applied to the payload, and:
+    validated, [decode] is applied to the entry file's bytes and the
+    payload's offset in them (the payload runs to the end, so it is
+    never copied out), and:
 
     - decode succeeds: the entry's recency is refreshed, [store.hit];
     - any validation or decode failure: the file is removed,

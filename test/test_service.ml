@@ -48,6 +48,88 @@ let test_lru_disabled () =
   check_bool "cap 0 never stores" true (Lru.find c "a" = None);
   check_int "drop counted as eviction" 1 (Lru.evictions c)
 
+(* Differential against the stamp-scan LRU the service used to ship
+   ([Lru_oracle]): one random script of puts, finds and clears is run on
+   both at every cap, and after each step the find answer, size,
+   eviction count and set of bindings must agree.  Keys are folded into
+   a range a little over twice the cap, so scripts both hit and evict. *)
+type lru_op = Put of int * int | Find of int | Clear
+
+let lru_caps = [ 0; 1; 2; 5; 64 ]
+
+let lru_script =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (6, map2 (fun k v -> Put (k, v)) (int_bound 200) small_nat);
+        (6, map (fun k -> Find k) (int_bound 200));
+        (1, return Clear) ]
+  in
+  let print = function
+    | Put (k, v) -> Printf.sprintf "put %d %d" k v
+    | Find k -> Printf.sprintf "find %d" k
+    | Clear -> "clear"
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    (list_size (int_range 0 300) op)
+
+let lru_agrees cap ops =
+  let c = Lru.create ~cap and o = Lru_oracle.create ~cap in
+  let key k = k mod ((2 * cap) + 3) in
+  let sorted l = List.sort compare l in
+  List.for_all
+    (fun op ->
+      let same_answer =
+        match op with
+        | Put (k, v) ->
+          Lru.put c (key k) v;
+          Lru_oracle.put o (key k) v;
+          true
+        | Find k -> Lru.find c (key k) = Lru_oracle.find o (key k)
+        | Clear ->
+          Lru.clear c;
+          Lru_oracle.clear o;
+          true
+      in
+      same_answer
+      && Lru.size c = Lru_oracle.size o
+      && Lru.evictions c = Lru_oracle.evictions o
+      && sorted (Lru.bindings c) = sorted (Lru_oracle.bindings o))
+    ops
+
+let prop_lru_matches_oracle =
+  QCheck.Test.make ~name:"lru: matches the stamp-scan oracle" ~count:100
+    lru_script (fun ops -> List.for_all (fun cap -> lru_agrees cap ops) lru_caps)
+
+(* A hit relinks the recency list with int writes only: on a full cache
+   of registry-shaped keys, 100k hits must promote (almost) nothing to
+   the major heap.  An LRU that stores fresh boxes into old entries on
+   every hit promotes a word or more per hit and fails this. *)
+let test_lru_hit_promotes_nothing () =
+  let n = 4096 in
+  let c = Lru.create ~cap:n in
+  let keys =
+    Array.init n (fun i ->
+        ( Digest.to_hex (Digest.string (string_of_int i)),
+          "member",
+          Printf.sprintf "input-%d" i ))
+  in
+  Array.iteri (fun i k -> Lru.put c k (string_of_int i)) keys;
+  check_int "full" n (Lru.size c);
+  Gc.full_major ();
+  let _, promoted0, _ = Gc.counters () in
+  for i = 0 to 99_999 do
+    ignore (Sys.opaque_identity (Lru.find c keys.(i land (n - 1))))
+  done;
+  Gc.minor ();
+  let _, promoted1, _ = Gc.counters () in
+  let promoted = promoted1 -. promoted0 in
+  check_bool
+    (Printf.sprintf "100k hits promoted %.0f words (< 1000)" promoted)
+    true (promoted < 1000.);
+  check_int "no eviction on a hit" 0 (Lru.evictions c)
+
 (* --- json --------------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -1766,4 +1848,7 @@ let suite =
     Alcotest.test_case "fuzz: an internal error fails the round" `Quick
       test_fuzz_internal_error;
     Alcotest.test_case "registry: oversized scratch not re-pooled" `Quick
-      test_scratch_pool_drops_oversized ]
+      test_scratch_pool_drops_oversized;
+    QCheck_alcotest.to_alcotest prop_lru_matches_oracle;
+    Alcotest.test_case "lru: a hit promotes nothing" `Quick
+      test_lru_hit_promotes_nothing ]
